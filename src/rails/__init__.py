@@ -9,7 +9,24 @@ including pencils with singular mass matrices (differential-algebraic
 structure), and provides the analysis and verification tooling around
 them: dominant-direction extraction, degenerate Gaussian densities,
 brute-force dense oracles and a stochastic simulation cross-check.
+
+The RAILS_THREADS environment variable caps BLAS threading (default: all
+cores). BLAS reads its thread count when numpy first loads, so the cap is
+applied here, before any numeric import of the package.
 """
+
+import os
+
+
+def _apply_thread_cap():
+    cap = os.environ.get("RAILS_THREADS")
+    if not cap:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, cap)
+
+
+_apply_thread_cap()
 
 from .analysis import EofSet, eofs, gaussian_logpdf, sample_stationary
 from .dae import (

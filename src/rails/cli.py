@@ -12,14 +12,16 @@ malformed input, 3 I/O failure, 4 structural solver error, 5 oracle asked
 beyond its size cap.
 
 The RAILS_THREADS environment variable caps BLAS threading (default: all
-cores); it must take effect before the numeric libraries load, which is
-why the heavy imports in this module sit inside the handlers.
+cores). The package ``__init__`` applies it on import, before numpy loads,
+so it holds for every command.
 """
 
 import argparse
 import json
 import os
 import sys
+
+from . import _apply_thread_cap  # noqa: F401  (runs on package import)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -39,14 +41,6 @@ _SPACES = {
     "b": "columns_of_b",
     "inverse-b": "inverse_applied_to_b",
 }
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("RAILS_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _write_manifest(out_dir, command, inputs, options, outputs):
@@ -307,7 +301,6 @@ def _cmd_analyze(args):
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     from .errors import (

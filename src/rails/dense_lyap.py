@@ -1,13 +1,16 @@
 """Dense solvers for small (projected) Lyapunov equations.
 
 ``solve_standard_dense`` handles F T + T F' + Q = 0 by reducing F to real
-Schur form and back-substituting over the quasi-triangular factor block by
-block. ``solve_projected`` reduces the generalized equation
-A T M' + M T A' + B B' = 0 to the standard one through a dense LU of M.
+Schur form + LAPACK ``trsyl``, which solves the quasi-triangular equation
+on the Schur factor (Bartels & Stewart, CACM Alg. 432).
+``solve_projected`` reduces the generalized equation
+A T M' + M T A' + B B' = 0 to the standard one through a dense LU of M,
+whose condition LAPACK ``gecon`` estimates from the same factors.
 These run once per outer iteration of the iterative solver, at the size of
 the search space, so plain O(d^3) dense work is the right tool.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,78 +46,6 @@ class ProjectedSystem:
             )
 
 
-def _schur_eigenvalues(r):
-    """Eigenvalues read off the 1x1 / 2x2 diagonal blocks of a real Schur factor."""
-    d = r.shape[0]
-    vals = []
-    i = 0
-    while i < d:
-        if i + 1 < d and r[i + 1, i] != 0.0:
-            # 2x2 block: complex pair with Re = trace/2
-            a, b = r[i, i], r[i, i + 1]
-            c, dd = r[i + 1, i], r[i + 1, i + 1]
-            re = 0.5 * (a + dd)
-            disc = (a - dd) ** 2 / 4.0 + b * c
-            im = np.sqrt(max(-disc, 0.0))
-            vals.append(complex(re, im))
-            vals.append(complex(re, -im))
-            i += 2
-        else:
-            vals.append(complex(r[i, i], 0.0))
-            i += 1
-    return np.array(vals)
-
-
-def _diag_blocks(r):
-    """Start indices and sizes of the quasi-triangular diagonal blocks."""
-    d = r.shape[0]
-    blocks = []
-    i = 0
-    while i < d:
-        if i + 1 < d and r[i + 1, i] != 0.0:
-            blocks.append((i, 2))
-            i += 2
-        else:
-            blocks.append((i, 1))
-            i += 1
-    return blocks
-
-
-def _solve_quasi_triangular(r, q):
-    """Solve R Y + Y R' + Q = 0 for upper quasi-triangular R, symmetric Q.
-
-    Marches over the block grid from the trailing corner, solving one
-    small (<= 2x2 by <= 2x2) Sylvester system per block via its Kronecker
-    form and mirroring the result across the diagonal.
-    """
-    d = r.shape[0]
-    blocks = _diag_blocks(r)
-    y = np.zeros((d, d))
-    for bj in range(len(blocks) - 1, -1, -1):
-        j0, nj = blocks[bj]
-        j1 = j0 + nj
-        for bi in range(bj, -1, -1):
-            i0, ni = blocks[bi]
-            i1 = i0 + ni
-            rhs = -q[i0:i1, j0:j1].copy()
-            if i1 < d:
-                rhs -= r[i0:i1, i1:] @ y[i1:, j0:j1]
-            if j1 < d:
-                rhs -= y[i0:i1, j1:] @ r[j0:j1, j1:].T
-            rii = r[i0:i1, i0:i1]
-            rjj = r[j0:j1, j0:j1]
-            k = np.kron(np.eye(nj), rii) + np.kron(rjj, np.eye(ni))
-            yij = np.linalg.solve(k, rhs.reshape(-1, order="F")).reshape(
-                (ni, nj), order="F"
-            )
-            y[i0:i1, j0:j1] = yij
-            if bi != bj:
-                y[j0:j1, i0:i1] = yij.T
-            else:
-                y[i0:i1, j0:j1] = 0.5 * (yij + yij.T)
-    return y
-
-
 def solve_standard_dense(f, q):
     """Solve F T + T F' + Q = 0 for symmetric Q and Hurwitz F.
 
@@ -139,16 +70,22 @@ def solve_standard_dense(f, q):
     if not np.allclose(q, q.T, atol=1e-8 * max(1.0, np.abs(q).max())):
         raise ValueError("Q must be symmetric")
     r, u = scipy.linalg.schur(f, output="real")
-    eigs = _schur_eigenvalues(r)
-    worst = eigs[np.argmax(eigs.real)]
-    if worst.real >= 0.0:
+    # LAPACK standardizes every 2x2 Schur block so that both diagonal
+    # entries equal the real part of its eigenvalue pair, so the diagonal
+    # carries the real parts of the whole spectrum.
+    if np.diag(r).max() >= 0.0:
+        eigs = np.linalg.eigvals(r)
+        worst = eigs[np.argmax(eigs.real)]
         raise StabilityError(
             f"coefficient matrix is not Hurwitz: eigenvalue {worst:.6e} "
             f"has real part {worst.real:.6e} >= 0"
         )
     qh = u.T @ q @ u
     qh = 0.5 * (qh + qh.T)
-    y = _solve_quasi_triangular(r, qh)
+    y, scale, info = scipy.linalg.lapack.dtrsyl(r, r, -qh, tranb="T")
+    if info < 0:
+        raise np.linalg.LinAlgError(f"LAPACK dtrsyl rejected argument {-info}")
+    y = (0.5 / scale) * (y + y.T)
     t = u @ y @ u.T
     return 0.5 * (t + t.T)
 
@@ -159,7 +96,7 @@ def solve_projected(sys, dim_cap=DIMENSION_CAP):
     The generalized equation is reduced with F = M^{-1} A and
     G = M^{-1} B (LU with partial pivoting), solved in standard form and
     symmetrized. The pencil must be stable; a singular or terribly
-    conditioned M is rejected before factorization.
+    conditioned M (1-norm condition estimate) is rejected before solving.
     """
     if not isinstance(sys, ProjectedSystem):
         sys = ProjectedSystem(*sys)
@@ -171,12 +108,17 @@ def solve_projected(sys, dim_cap=DIMENSION_CAP):
         )
     if d == 0:
         return np.zeros((0, 0))
-    cond = np.linalg.cond(sys.m)
+    with warnings.catch_warnings():
+        # An exactly singular M is rejected just below; the LU is still
+        # well defined, so its warning only duplicates that error.
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(sys.m)
+    rcond, _ = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(sys.m, 1))
+    cond = 1.0 / rcond if rcond > 0.0 else np.inf
     if not np.isfinite(cond) or cond > _CONDITION_CAP:
         raise SingularMatrixError(
             f"projected mass matrix is numerically singular (cond ~ {cond:.3e})"
         )
-    lu, piv = scipy.linalg.lu_factor(sys.m)
     f = scipy.linalg.lu_solve((lu, piv), sys.a)
     g = scipy.linalg.lu_solve((lu, piv), sys.b)
     return solve_standard_dense(f, g @ g.T)

@@ -285,6 +285,31 @@ class TestEnvironment:
         assert os.environ["OMP_NUM_THREADS"] == "8"
 
 
+    def test_cap_precedes_numpy_import(self):
+        # BLAS reads its thread count when numpy loads, so the cap must
+        # already be in the environment at that moment.
+        probe = (
+            "import os, sys\n"
+            "class Probe:\n"
+            "    seen = None\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and Probe.seen is None:\n"
+            "            Probe.seen = os.environ.get('OPENBLAS_NUM_THREADS', 'unset')\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            "import rails.cli\n"
+            "print(Probe.seen)\n"
+        )
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS")}
+        env["RAILS_THREADS"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"
+
+
 class TestEntryPoint:
     def test_console_script_help(self):
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_hurwitz, random_spd
 from rails.dense_lyap import (
@@ -60,6 +61,56 @@ class TestStandardForm:
         with pytest.raises(StabilityError):
             solve_standard_dense(f, np.eye(2))
 
+    def test_many_rotation_blocks_match_kron(self):
+        # Twenty 2x2 rotation blocks, coupled above the block diagonal and
+        # hidden by an orthogonal similarity: the Schur factor is all 2x2
+        # blocks.
+        rng = np.random.default_rng(41)
+        blocks = [np.array([[-s, w], [-w, -s]])
+                  for s, w in zip(rng.uniform(0.1, 2.0, 20),
+                                  rng.uniform(0.5, 5.0, 20))]
+        upper = np.kron(np.triu(rng.standard_normal((20, 20)), 1),
+                        np.ones((2, 2)))
+        q0, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        f = q0 @ (scipy.linalg.block_diag(*blocks) + 0.2 * upper) @ q0.T
+        b = rng.standard_normal((40, 3))
+        c = solve_standard_dense(f, b @ b.T)
+        ref = kron_solve(f, np.eye(40), b)
+        assert np.linalg.norm(c - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_clustered_eigenvalues_residual(self):
+        # Near-equal eigenvalues, real and as complex pairs with a
+        # non-normal coupling, make the Sylvester blocks nearly singular.
+        rng = np.random.default_rng(43)
+        n = 30
+        w = rng.standard_normal((n, n))
+        real = w @ np.diag(-1.0 + 1e-9 * rng.standard_normal(n)) @ np.linalg.inv(w)
+        pairs = scipy.linalg.block_diag(*[
+            np.array([[s, 3.0], [-3.0, s]])
+            for s in -0.5 + 1e-8 * rng.standard_normal(n // 2)
+        ]) + 0.3 * np.kron(np.triu(np.ones((n // 2, n // 2)), 1), np.ones((2, 2)))
+        q0, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        b = rng.standard_normal((n, 2))
+        q = b @ b.T
+        for f in (real, q0 @ pairs @ q0.T):
+            c = solve_standard_dense(f, q)
+            r = f @ c + c @ f.T + q
+            scale = 2.0 * np.linalg.norm(f) * np.linalg.norm(c) + np.linalg.norm(q)
+            assert np.linalg.norm(r) <= 1e-13 * scale
+
+    def test_unstable_complex_pair_named(self):
+        # The only unstable eigenvalues are the pair 0.3 +- 2i.
+        rng = np.random.default_rng(47)
+        d = np.diag(-rng.uniform(0.5, 3.0, 8))
+        d[:2, :2] = [[0.3, 2.0], [-2.0, 0.3]]
+        q0, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        f = q0 @ d @ q0.T
+        with pytest.raises(StabilityError) as err:
+            solve_standard_dense(f, np.eye(8))
+        msg = str(err.value)
+        assert "3.000000e-01" in msg
+        assert "2.000000e+00j" in msg
+
     def test_symmetry_exact(self):
         rng = np.random.default_rng(5)
         f = random_hurwitz(rng, 15)
@@ -99,6 +150,16 @@ class TestProjectedSolve:
     def test_residual_property(self):
         rng = np.random.default_rng(31)
         for n in (5, 20, 60):
+            m = random_spd(rng, n, floor=1.0)
+            a = -random_spd(rng, n, floor=0.5)
+            b = rng.standard_normal((n, 3))
+            t = solve_projected(ProjectedSystem(a, m, b))
+            r = residual_matrix(a, m, b, t)
+            assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b @ b.T)
+
+    def test_residual_property_large(self):
+        rng = np.random.default_rng(37)
+        for n in (200, 400):
             m = random_spd(rng, n, floor=1.0)
             a = -random_spd(rng, n, floor=0.5)
             b = rng.standard_normal((n, 3))
