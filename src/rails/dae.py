@@ -24,7 +24,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .lowrank import LowRankSolution
-from .matrices import add_imvps, as_matrix, check_sparse, sparse_apply
+from .matrices import as_matrix, check_sparse, sparse_apply
 
 __all__ = ["DaeSystem", "SchurOperator", "partition", "schur_apply", "recover_full_covariance"]
 
@@ -82,17 +82,12 @@ class DaeSystem:
         return self.n_algebraic == 0
 
     def solve_a11(self, x, transpose=False):
-        """A11^{-1} x (or A11^{-T} x), counted as IMVPs."""
+        """A11^{-1} x (or A11^{-T} x) for a vector or the columns of a matrix."""
         x = np.asarray(x, dtype=np.float64)
-        vec_in = x.ndim == 1
-        if vec_in:
-            x = x.reshape(-1, 1)
-        add_imvps(x.shape[1])
-        y = self.a11_lu.solve(x, trans="T" if transpose else "N")
-        return y[:, 0] if vec_in else y
+        return self.a11_lu.solve(x, trans="T" if transpose else "N")
 
     def solve_full(self, rhs):
-        """A^{-1} rhs on the full space, counted as IMVPs.
+        """A^{-1} rhs on the full space, for a vector or the columns of a matrix.
 
         Used by the inverse iteration variant: the Schur complement solve
         S^{-1} x is realized as a bordered solve with the whole A.
@@ -104,13 +99,7 @@ class DaeSystem:
                 raise SingularMatrixError(
                     f"full operator A is singular, inverse products unavailable: {exc}"
                 ) from exc
-        rhs = np.asarray(rhs, dtype=np.float64)
-        vec_in = rhs.ndim == 1
-        if vec_in:
-            rhs = rhs.reshape(-1, 1)
-        add_imvps(rhs.shape[1])
-        y = self._a_full_lu.solve(rhs)
-        return y[:, 0] if vec_in else y
+        return self._a_full_lu.solve(np.asarray(rhs, dtype=np.float64))
 
 
 def partition(a, m, b, zero_tol=0.0, relative=False):
@@ -151,7 +140,8 @@ def schur_apply(sys, x, transpose=False):
     """Apply S = A22 - A21 A11^{-1} A12 (or S') to the columns of x.
 
     One multiply each with A22, A12 (A21' if transposed) and A21, plus one
-    sparse solve with A11, per call. In pass-through mode S is just A.
+    sparse solve with A11, per column (``SchurOperator.apply_cost``). In
+    pass-through mode S is just A.
     """
     if sys.is_pass_through():
         return sparse_apply(sys.a22, x, transpose=transpose)
@@ -172,6 +162,13 @@ class SchurOperator:
         self.sys = sys
         self.dim = sys.n_differential
 
+    @property
+    def apply_cost(self):
+        """(sparse products, sparse solves) per column of one ``apply``,
+        as spent by ``schur_apply``. One ``solve`` costs one sparse solve
+        per column."""
+        return (1, 0) if self.sys.is_pass_through() else (3, 1)
+
     def apply(self, x, transpose=False):
         return schur_apply(self.sys, x, transpose=transpose)
 
@@ -180,14 +177,9 @@ class SchurOperator:
         if self.sys.is_pass_through():
             return self.sys.solve_full(x)
         x = np.asarray(x, dtype=np.float64)
-        vec_in = x.ndim == 1
-        if vec_in:
-            x = x.reshape(-1, 1)
-        rhs = np.zeros((self.sys.dimension, x.shape[1]))
-        rhs[self.sys.differential_rows, :] = x
-        y = self.sys.solve_full(rhs)
-        out = y[self.sys.differential_rows, :]
-        return out[:, 0] if vec_in else out
+        rhs = np.zeros((self.sys.dimension,) + x.shape[1:])
+        rhs[self.sys.differential_rows] = x
+        return self.sys.solve_full(rhs)[self.sys.differential_rows]
 
 
 def recover_full_covariance(sys, sol):

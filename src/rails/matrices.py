@@ -1,17 +1,17 @@
-"""Shared matrix kernels: validated constructors, counted sparse products,
+"""Shared matrix kernels: validated constructors, checked sparse products,
 deflating Gram-Schmidt, and a Lanczos eigensolver for implicit symmetric
 operators.
 
-All multi-vector products with stored sparse matrices go through
-``sparse_apply`` so that matrix-vector product (MVP) accounting is uniform:
-one count per column. Inverse products (sparse triangular solves) are
-counted separately as IMVPs by the modules that own the factorizations.
+The kernels keep no state. Products and solves are counted per solve by
+``rails.solver.LyapunovProblem``, the object the solver applies them
+through.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "sparse_from_triplets",
@@ -24,36 +24,7 @@ __all__ = [
     "LanczosOptions",
     "LanczosResult",
     "lanczos_topk",
-    "reset_counters",
-    "mvp_total",
-    "imvp_total",
-    "add_mvps",
-    "add_imvps",
 ]
-
-_counters = {"mvp": 0, "imvp": 0}
-
-
-def reset_counters():
-    """Zero the global MVP/IMVP counters (done at the start of every solve)."""
-    _counters["mvp"] = 0
-    _counters["imvp"] = 0
-
-
-def mvp_total():
-    return _counters["mvp"]
-
-
-def imvp_total():
-    return _counters["imvp"]
-
-
-def add_mvps(k):
-    _counters["mvp"] += int(k)
-
-
-def add_imvps(k):
-    _counters["imvp"] += int(k)
 
 
 def sparse_from_triplets(rows, cols, values, shape):
@@ -100,7 +71,7 @@ def as_matrix(a):
 
 
 def sparse_apply(a, x, transpose=False):
-    """Product A @ X (or A.T @ X) with MVP accounting.
+    """Product A @ X (or A.T @ X) with a dimension check.
 
     Parameters
     ----------
@@ -111,22 +82,16 @@ def sparse_apply(a, x, transpose=False):
 
     Returns
     -------
-    ndarray with the same number of columns as ``x``. One MVP is counted
-    per column of ``x``.
+    ndarray, a vector for a vector ``x`` and a matrix with as many
+    columns as ``x`` otherwise.
     """
     x = np.asarray(x, dtype=np.float64)
-    vec_in = x.ndim == 1
-    if vec_in:
-        x = x.reshape(-1, 1)
     op = a.T if transpose else a
     if op.shape[1] != x.shape[0]:
         raise ValueError(
             f"dimension mismatch: operator is {op.shape}, operand has {x.shape[0]} rows"
         )
-    add_mvps(x.shape[1])
-    y = op @ x
-    y = np.asarray(y)
-    return y[:, 0] if vec_in else y
+    return np.asarray(op @ x)
 
 
 def orthonormalize(w, against=None, drop_tol=1e-8):
@@ -257,8 +222,6 @@ def lanczos_topk(op, k, max_steps=20, tol=1e-8, rng_seed=0):
     LanczosResult. ``converged`` is False when the bound was not met
     within ``max_steps``; the best estimates are still returned.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     n = op.dim
     k = int(k)
     if k < 1:

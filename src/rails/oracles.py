@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
+from .dae import schur_apply
 from .errors import NoUniqueSolutionError, OracleSizeError, SimulationBlowupError
 from .matrices import as_matrix
 
@@ -180,8 +181,6 @@ def euler_maruyama_covariance(sys, cfg):
             f"simulation oracle is capped at {SIMULATION_SIZE_CAP} differential "
             f"variables, got {nd}"
         )
-    from .dae import schur_apply
-
     s_dense = schur_apply(sys, np.eye(nd))
     m22 = sys.m22.toarray()
     drift = np.linalg.solve(m22, s_dense)

@@ -34,11 +34,8 @@ from .matrices import (
     SymmetricOperator,
     as_matrix,
     check_sparse,
-    imvp_total,
     lanczos_topk,
-    mvp_total,
     orthonormalize,
-    reset_counters,
     sparse_apply,
 )
 
@@ -72,6 +69,16 @@ class LyapunovProblem:
         Mass action; None means identity (applications are free and not
         counted as MVPs).
     b : ndarray (n, s), s >= 1.
+
+    Attributes
+    ----------
+    mvps, imvps : int
+        Running counts of the products with the large operators done
+        through this problem: sparse matrix-vector products (MVPs) and
+        sparse solves (IMVPs), one per column of the operand. A Schur
+        operator charges its ``apply_cost`` per column. ``solve`` reports
+        how much they grew during the call, so reusing a problem still
+        gives per-solve counts.
     """
 
     def __init__(self, a, m, b):
@@ -98,37 +105,45 @@ class LyapunovProblem:
             raise ValueError("B must have at least one column")
         self.dimension = n
         self._a_lu = None
+        self.mvps = 0
+        self.imvps = 0
+
+    def _count(self, x, mvps, imvps):
+        columns = 1 if np.ndim(x) == 1 else np.shape(x)[1]
+        self.mvps += mvps * columns
+        self.imvps += imvps * columns
 
     def apply_a(self, x, transpose=False):
         if self._a_op is not None:
-            return self._a_op.apply(x, transpose=transpose)
-        return sparse_apply(self._a_mat, x, transpose=transpose)
+            y = self._a_op.apply(x, transpose=transpose)
+            self._count(x, *self._a_op.apply_cost)
+            return y
+        y = sparse_apply(self._a_mat, x, transpose=transpose)
+        self._count(x, 1, 0)
+        return y
 
     def apply_m(self, x, transpose=False):
         if self._m_mat is None:
             return np.array(x, dtype=np.float64, copy=True)
-        return sparse_apply(self._m_mat, x, transpose=transpose)
+        y = sparse_apply(self._m_mat, x, transpose=transpose)
+        self._count(x, 1, 0)
+        return y
 
     def apply_a_inverse(self, x):
         """A^{-1} x, available for sparse A and Schur operators."""
         if self._a_op is not None:
-            return self._a_op.solve(x)
-        if self._a_lu is None:
-            try:
-                self._a_lu = spla.splu(self._a_mat.tocsc())
-            except RuntimeError as exc:
-                raise SingularMatrixError(
-                    f"A is singular, inverse products unavailable: {exc}"
-                ) from exc
-        from .matrices import add_imvps
-
-        x = np.asarray(x, dtype=np.float64)
-        vec_in = x.ndim == 1
-        if vec_in:
-            x = x.reshape(-1, 1)
-        add_imvps(x.shape[1])
-        y = self._a_lu.solve(x)
-        return y[:, 0] if vec_in else y
+            y = self._a_op.solve(x)
+        else:
+            if self._a_lu is None:
+                try:
+                    self._a_lu = spla.splu(self._a_mat.tocsc())
+                except RuntimeError as exc:
+                    raise SingularMatrixError(
+                        f"A is singular, inverse products unavailable: {exc}"
+                    ) from exc
+            y = self._a_lu.solve(np.asarray(x, dtype=np.float64))
+        self._count(x, 0, 1)
+        return y
 
 
 @dataclass
@@ -145,7 +160,6 @@ class SolverOptions:
     restart_tol_growth: float = 1.0
     variant: str = "standard"  # or "inverse"
     initial_space: str = "random"  # random | given | columns_of_b | inverse_applied_to_b
-    initial_rank: int | None = None
     initial_v: np.ndarray | None = None
     rng_seed: int = 0
 
@@ -259,6 +273,14 @@ def residual_norm_and_vectors(problem, sol, m, lanczos_opts=None):
     return _estimate_residual(av, mv, sol.t, problem.b, m, lanczos_opts)
 
 
+def _eigen_trim(t, tol):
+    """Eigenpairs (lam, u) of the symmetric core ``t`` with lam > tol,
+    largest first."""
+    lam, u = np.linalg.eigh(t)
+    keep = lam > tol
+    return lam[keep][::-1], u[:, keep][:, ::-1]
+
+
 def restart(sol, restart_tol):
     """Trim a low-rank solution to the eigenmodes above ``restart_tol``.
 
@@ -270,17 +292,14 @@ def restart(sol, restart_tol):
     """
     if sol.rank == 0:
         return sol
-    lam, u = np.linalg.eigh(sol.t)
-    keep = lam > restart_tol
-    if not np.any(keep):
+    lam, u = _eigen_trim(sol.t, restart_tol)
+    if not lam.size:
         warnings.warn(
             f"restart with tolerance {restart_tol:.3e} discarded every mode; "
             f"the solution is now empty",
             RuntimeWarning,
             stacklevel=2,
         )
-    lam = lam[keep][::-1]
-    u = u[:, keep][:, ::-1]
     return LowRankSolution(sol.v @ u, np.diag(lam))
 
 
@@ -334,26 +353,22 @@ class _State:
         """Keep the eigenmodes of ``t`` above restart_tol; rotate the basis
         and congruence-update the projections instead of recomputing them.
         Returns the core diag(kept eigenvalues) matching the new basis."""
-        lam, u = np.linalg.eigh(t)
-        keep = lam > restart_tol
-        lam_kept = lam[keep][::-1]
-        u = u[:, keep][:, ::-1]
+        lam, u = _eigen_trim(t, restart_tol)
         self.v = self.v @ u
         self.av = self.av @ u
         self.mv = self.mv @ u
         self.at = u.T @ self.at @ u
         self.mt = u.T @ self.mt @ u
         self.bt = u.T @ self.bt
-        return np.diag(lam_kept)
+        return np.diag(lam)
 
 
 def _initial_space(problem, opts):
     n = problem.dimension
     kind = opts.initial_space
     if kind == "random":
-        r = opts.initial_rank if opts.initial_rank else opts.expand_m
         rng = np.random.default_rng(opts.rng_seed)
-        w = rng.standard_normal((n, min(r, n)))
+        w = rng.standard_normal((n, min(opts.expand_m, n)))
     elif kind == "given":
         w = as_matrix(opts.initial_v)
         if w.shape[0] != n:
@@ -404,7 +419,7 @@ def solve(problem, opts=None, callback=None):
     """
     if opts is None:
         opts = SolverOptions()
-    reset_counters()
+    mvps0, imvps0 = problem.mvps, problem.imvps
     report = SolveReport()
     state = _State(problem)
     state.extend(_initial_space(problem, opts))
@@ -471,17 +486,15 @@ def solve(problem, opts=None, callback=None):
     # at working precision this perturbs C at rounding level only
     sol = LowRankSolution(state.v, t)
     if sol.rank:
-        lam = np.linalg.eigh(sol.t)[0]
-        if lam.size and lam.min() <= 0:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                sol = restart(sol, 0.0)
+        lam, u = _eigen_trim(sol.t, 0.0)
+        if lam.size < sol.rank:
+            sol = LowRankSolution(sol.v @ u, np.diag(lam))
 
     report.converged = bool(conv_now)
     report.termination_reason = termination
     report.final_rank = sol.rank
-    report.mvp_count = mvp_total()
-    report.imvp_count = imvp_total()
+    report.mvp_count = problem.mvps - mvps0
+    report.imvp_count = problem.imvps - imvps0
     return sol, report
 
 
@@ -489,7 +502,8 @@ def solve_dae(a, m, b, opts=None, callback=None):
     """Partition a DAE pencil, solve the reduced problem, lift the result.
 
     With no algebraic rows this is exactly ``solve`` on (A, M, B). The
-    report counts the recovery solves too.
+    report counts the recovery too: one A12 product and one A11 solve per
+    column of the reduced basis.
     """
     sys = partition(a, m, b)
     if sys.is_pass_through():
@@ -506,6 +520,6 @@ def solve_dae(a, m, b, opts=None, callback=None):
     sol, report = solve(problem, opts, callback=callback)
     full = recover_full_covariance(sys, sol)
     report.final_rank = full.rank
-    report.mvp_count = mvp_total()
-    report.imvp_count = imvp_total()
+    report.mvp_count += sol.rank
+    report.imvp_count += sol.rank
     return full, report

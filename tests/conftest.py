@@ -1,15 +1,5 @@
 import numpy as np
-import pytest
 import scipy.sparse as sparse
-
-from rails.matrices import reset_counters
-
-
-@pytest.fixture(autouse=True)
-def _clean_counters():
-    reset_counters()
-    yield
-    reset_counters()
 
 
 def random_hurwitz(rng, n, margin=0.5):

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from rails import mmio
+from rails import cli, errors, mmio
 from rails.cli import main
 
 
@@ -25,6 +26,13 @@ def _generate_dae(tmp_path, n_diff=20, n_alg=6, pattern="uncorrelated",
     )
     assert code == 0
     return problem
+
+
+def _has_mallinfo2():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallinfo2")
+    except (OSError, TypeError):
+        return False
 
 
 class TestGenerate:
@@ -263,6 +271,28 @@ class TestAnalyze:
         assert code == 3
 
 
+_RAILS_ERRORS = sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, errors.RailsError)),
+    key=lambda c: c.__name__,
+)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", _RAILS_ERRORS, ids=lambda c: c.__name__)
+    def test_rails_errors_map_to_their_exit_code(self, error, tmp_path,
+                                                 monkeypatch, capsys):
+        exc = error(3, 1e13) if error is errors.SimulationBlowupError else error("boom")
+
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_analyze", fail)
+        code = _run("analyze", "--solution", str(tmp_path), "--out", str(tmp_path))
+        assert code == (5 if error is errors.OracleSizeError else 4)
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestEnvironment:
     def test_thread_cap_sets_blas_vars(self, monkeypatch):
         from rails.cli import _apply_thread_cap
@@ -308,6 +338,34 @@ class TestEnvironment:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "1"
+
+    @pytest.mark.skipif(not _has_mallinfo2(), reason="needs glibc's mallinfo2")
+    def test_large_arrays_keep_their_own_mappings(self):
+        # By default glibc serves the second block from the heap once the
+        # first, mapped on its own, is freed. A fresh process, so that no
+        # free heap block of that size is left from earlier work.
+        probe = (
+            "import ctypes\n"
+            "import numpy as np\n"
+            "from rails import cli\n"
+            "class Info(ctypes.Structure):\n"
+            "    _fields_ = [(f, ctypes.c_size_t) for f in (\n"
+            "        'arena ordblks smblks hblks hblkhd usmblks fsmblks '\n"
+            "        'uordblks fordblks keepcost').split()]\n"
+            "mallinfo2 = ctypes.CDLL(None).mallinfo2\n"
+            "mallinfo2.restype = Info\n"
+            "cli._fix_mmap_threshold()\n"
+            "first = np.ones(1 << 20)\n"
+            "del first\n"
+            "mapped = mallinfo2().hblkhd\n"
+            "second = np.ones(1 << 20)\n"
+            "print(mallinfo2().hblkhd - mapped >= second.nbytes)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
 
 class TestEntryPoint:

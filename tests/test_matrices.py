@@ -5,13 +5,9 @@ import scipy.sparse as sparse
 from rails.matrices import (
     LanczosOptions,
     SymmetricOperator,
-    add_mvps,
-    imvp_total,
     lanczos_topk,
     matrix_operator,
-    mvp_total,
     orthonormalize,
-    reset_counters,
     sparse_apply,
     sparse_from_triplets,
 )
@@ -69,20 +65,6 @@ class TestSparseApply:
         a = sparse.random(30, 30, density=0.2, random_state=rng, format="csr")
         x = rng.standard_normal((30, 4))
         assert np.allclose(sparse_apply(a, x), a.toarray() @ x, atol=1e-13)
-
-    def test_counts_columns(self):
-        reset_counters()
-        a = sparse.identity(5, format="csr")
-        sparse_apply(a, np.ones((5, 3)))
-        assert mvp_total() == 3
-        sparse_apply(a, np.ones(5))
-        assert mvp_total() == 4
-        assert imvp_total() == 0
-
-    def test_manual_counter_bump(self):
-        reset_counters()
-        add_mvps(7)
-        assert mvp_total() == 7
 
 
 class TestOrthonormalize:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from rails.dae import SchurOperator, partition
 from rails.errors import ForcingOnConstraintError
 from rails.lowrank import LowRankSolution
+from rails.matrices import sparse_apply
 from rails.oracles import kron_solve, kron_solve_dae, residual_matrix
 from rails.solver import (
     LyapunovProblem,
@@ -311,6 +313,61 @@ class TestSearchSpaceStructure:
         est = residual_norm_and_vectors(problem, sol, 1)
         assert est.norm2 <= 1e-10 * bb
         assert report.converged
+
+
+class TestOperationCounts:
+    def test_counts_columns(self):
+        a = sparse.identity(5, format="csr")
+        problem = LyapunovProblem(a, None, np.ones((5, 1)))
+        problem.apply_a(np.ones((5, 3)))
+        assert problem.mvps == 3
+        problem.apply_a(np.ones(5))
+        assert problem.mvps == 4
+        assert problem.imvps == 0
+
+    def test_solve_counts_inverse_products(self):
+        a, m, sites = gen_dae(10, 4, rng_seed=1)
+        sys = partition(a, m, np.zeros((14, 0)))
+        problem = LyapunovProblem(SchurOperator(sys), None, np.ones((10, 1)))
+        problem.apply_a_inverse(np.ones((10, 3)))
+        assert problem.imvps == 3
+
+    def test_apply_counts_forward_products(self):
+        a, m, sites = gen_dae(10, 4, rng_seed=1)
+        sys = partition(a, m, np.zeros((14, 0)))
+        problem = LyapunovProblem(SchurOperator(sys), None, np.ones((10, 1)))
+        problem.apply_a(np.ones((10, 2)))
+        # One sparse product per column for each of A12, A21, A22 plus the
+        # constraint solve; the exact ledger is: 3 forward + 1 inverse each.
+        assert problem.mvps == 6
+        assert problem.imvps == 2
+
+    def test_unrelated_products_stay_out_of_the_report(self):
+        a, m, sites = gen_dae(200, 50, rng_seed=0)
+        b = gen_forcing(sites[:3], 250, "uncorrelated_columns").b
+        opts = SolverOptions(tol=1e-6)
+        other = sparse.identity(10, format="csr")
+        _, plain = solve_dae(a, m, b, opts)
+        _, busy = solve_dae(
+            a, m, b, opts,
+            callback=lambda it, rho, dim: sparse_apply(other, np.ones((10, 5))),
+        )
+        assert plain.mvp_count > 0
+        assert (busy.mvp_count, busy.imvp_count) == (
+            plain.mvp_count, plain.imvp_count
+        )
+
+    def test_reused_problem_reports_per_solve_counts(self):
+        a, _, _ = gen_diffusion(30)
+        problem = LyapunovProblem(a, None, np.eye(30)[:, :2])
+        opts = SolverOptions(tol=1e-6, variant="inverse")
+        _, first = solve(problem, opts)
+        _, second = solve(problem, opts)
+        assert first.mvp_count > 0 and first.imvp_count > 0
+        assert (second.mvp_count, second.imvp_count) == (
+            first.mvp_count, first.imvp_count
+        )
+        assert problem.mvps == 2 * first.mvp_count
 
 
 class TestDeterminism:
