@@ -51,7 +51,6 @@ from .errors import (
 )
 from .lowrank import LowRankSolution
 from .matrices import (
-    LanczosOptions,
     LanczosResult,
     SymmetricOperator,
     lanczos_topk,
@@ -114,7 +113,6 @@ __all__ = [
     "InvalidCovarianceError",
     "GenerationError",
     "LowRankSolution",
-    "LanczosOptions",
     "LanczosResult",
     "SymmetricOperator",
     "lanczos_topk",

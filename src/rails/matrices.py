@@ -1,6 +1,7 @@
 """Shared matrix kernels: validated constructors, checked sparse products,
-deflating Gram-Schmidt, and a Lanczos eigensolver for implicit symmetric
-operators.
+block Gram-Schmidt with deflation, and a Lanczos eigensolver for implicit
+symmetric operators. Both orthogonalize through one helper that projects a
+vector off orthonormal blocks, twice.
 
 The kernels keep no state. Products and solves are counted per solve by
 ``rails.solver.LyapunovProblem``, the object the solver applies them
@@ -21,7 +22,6 @@ __all__ = [
     "orthonormalize",
     "SymmetricOperator",
     "matrix_operator",
-    "LanczosOptions",
     "LanczosResult",
     "lanczos_topk",
 ]
@@ -94,13 +94,26 @@ def sparse_apply(a, x, transpose=False):
     return np.asarray(op @ x)
 
 
+def _project_out(x, *blocks):
+    """Remove from ``x``, in place, its components in the spans of
+    ``blocks``, whose columns together are orthonormal: classical
+    Gram-Schmidt, applied twice (the second pass repairs the cancellation
+    of the first). Returns ``x``."""
+    for _ in range(2):
+        for q in blocks:
+            x -= q @ (q.T @ x)
+    return x
+
+
 def orthonormalize(w, against=None, drop_tol=1e-8):
     """Orthonormalize the columns of ``w``, optionally against a fixed basis.
 
-    Two Gram-Schmidt sweeps per column (the second pass repairs the usual
-    cancellation of a single pass). A column whose norm after projection
-    falls below ``drop_tol`` times its original norm is considered
-    dependent and dropped rather than normalized.
+    Each column is projected off ``against`` and off the columns accepted
+    before it, one block product each, and the pair of projections is
+    repeated once (classical Gram-Schmidt applied twice). A column whose
+    norm after projection falls below ``drop_tol`` times its original norm
+    is considered dependent and dropped rather than normalized. ``w`` is
+    not modified.
 
     Parameters
     ----------
@@ -116,7 +129,7 @@ def orthonormalize(w, against=None, drop_tol=1e-8):
     (q, kept) : q has orthonormal columns spanning the independent part of
     ``w`` (orthogonal to ``against``), kept is its column count.
     """
-    w = as_matrix(w).copy()
+    w = as_matrix(w)
     n = w.shape[0]
     if against is not None:
         against = as_matrix(against)
@@ -124,26 +137,22 @@ def orthonormalize(w, against=None, drop_tol=1e-8):
             raise ValueError(
                 f"row mismatch: candidates have {n} rows, basis has {against.shape[0]}"
             )
-    accepted = []
+    blocks = () if against is None else (against,)
+    q = np.empty_like(w, order="F")
+    kept = 0
     for j in range(w.shape[1]):
-        v = w[:, j].copy()
+        v = q[:, kept]
+        v[:] = w[:, j]
         norm0 = np.linalg.norm(v)
         if norm0 == 0.0:
             continue
-        for _ in range(2):
-            if against is not None and against.shape[1]:
-                v -= against @ (against.T @ v)
-            for q in accepted:
-                v -= q * (q @ v)
+        _project_out(v, *blocks, q[:, :kept])
         norm1 = np.linalg.norm(v)
         if norm1 < drop_tol * norm0:
             continue
-        accepted.append(v / norm1)
-    if accepted:
-        q = np.column_stack(accepted)
-    else:
-        q = np.zeros((n, 0))
-    return q, q.shape[1]
+        v /= norm1
+        kept += 1
+    return q[:, :kept], kept
 
 
 class SymmetricOperator:
@@ -178,13 +187,6 @@ def matrix_operator(a):
         return SymmetricOperator(a.shape[0], lambda x: a @ x)
     a = as_matrix(a)
     return SymmetricOperator(a.shape[0], lambda x: a @ x)
-
-
-@dataclass
-class LanczosOptions:
-    max_steps: int = 20
-    tol: float = 1e-8
-    rng_seed: int = 0
 
 
 @dataclass
@@ -233,17 +235,14 @@ def lanczos_topk(op, k, max_steps=20, tol=1e-8, rng_seed=0):
         limit = k
 
     rng = np.random.default_rng(rng_seed)
-    basis = []
-    alphas = []
-    betas = []  # beta[i] couples basis[i] and basis[i+1]
+    basis = np.empty((n, limit), order="F")
+    alphas = np.empty(limit)
+    betas = np.empty(limit)  # betas[i] couples basis[:, i] and basis[:, i + 1]
+    j = 0  # vectors in the basis
 
     def fresh_direction():
         for _ in range(50):
-            v = rng.standard_normal(n)
-            for q in basis:
-                v -= q * (q @ v)
-            for q in basis:
-                v -= q * (q @ v)
+            v = _project_out(rng.standard_normal(n), basis[:, :j])
             nv = np.linalg.norm(v)
             if nv > 1e-10 * np.sqrt(n):
                 return v / nv
@@ -251,61 +250,37 @@ def lanczos_topk(op, k, max_steps=20, tol=1e-8, rng_seed=0):
 
     q = fresh_direction()
     beta_link = 0.0  # coupling between the previous vector and q, 0 at (re)starts
-    theta = np.zeros(0)
-    s = np.zeros((0, 0))
-    bounds = np.zeros(0)
-
-    while len(basis) < limit:
-        basis.append(q)
+    while True:
+        basis[:, j] = q
+        j += 1
         u = np.asarray(op.apply(q), dtype=np.float64)
         alpha = float(q @ u)
-        alphas.append(alpha)
+        alphas[j - 1] = alpha
         r = u - alpha * q
-        if len(basis) > 1 and beta_link != 0.0:
-            r -= beta_link * basis[-2]
-        # full reorthogonalization, twice
-        for _ in range(2):
-            for b in basis:
-                r -= b * (b @ r)
+        if beta_link != 0.0:
+            r -= beta_link * basis[:, j - 2]
+        _project_out(r, basis[:, :j])  # full reorthogonalization
         beta = float(np.linalg.norm(r))
 
-        j = len(basis)
-        a_arr = np.asarray(alphas)
-        b_arr = np.asarray(betas) if betas else np.zeros(0)
-        if j == 1:
-            theta = np.array([a_arr[0]])
-            s = np.eye(1)
-        else:
-            theta, s = eigh_tridiagonal(a_arr, b_arr)
+        theta, s = eigh_tridiagonal(alphas[:j], betas[: j - 1])
         order = np.argsort(-np.abs(theta))[: min(k, j)]
-        top = np.abs(theta[order[0]]) if order.size else 0.0
+        top = np.abs(theta[order[0]])
         bounds = np.abs(beta * s[-1, order])
-        if order.size >= k and np.all(bounds <= tol * max(top, np.finfo(float).tiny)):
-            break
-        if len(basis) >= limit:
+        converged = order.size >= k and np.all(
+            bounds <= tol * max(top, np.finfo(float).tiny)
+        )
+        if converged or j >= limit:
             break
         if beta <= 1e-14 * max(1.0, abs(alpha)):
-            if len(basis) >= n:
-                break
             q = fresh_direction()
-            betas.append(0.0)
             beta_link = 0.0
         else:
             q = r / beta
-            betas.append(beta)
             beta_link = beta
+        betas[j - 1] = beta_link
 
-    qmat = np.column_stack(basis)
-    order = np.argsort(-np.abs(theta))[: min(k, len(basis))]
-    vals = theta[order]
-    vecs = qmat @ s[:, order]
+    vecs = basis[:, :j] @ s[:, order]
     # normalize (harmless; guards against reorthogonalization drift)
-    for i in range(vecs.shape[1]):
-        nv = np.linalg.norm(vecs[:, i])
-        if nv > 0:
-            vecs[:, i] /= nv
-    top = np.abs(vals[0]) if vals.size else 0.0
-    conv = vals.size >= k and np.all(
-        np.abs(bounds[: vals.size]) <= tol * max(top, np.finfo(float).tiny)
-    )
-    return LanczosResult(vals, vecs, bool(conv), len(basis))
+    norms = np.linalg.norm(vecs, axis=0)
+    vecs /= np.where(norms > 0, norms, 1.0)
+    return LanczosResult(theta[order], vecs, bool(converged), j)

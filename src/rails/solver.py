@@ -11,11 +11,14 @@ solved densely each sweep. The residual
 
 is never formed: its dominant eigenpairs come from Lanczos on the implicit
 action R x = (AV) T (MV)'x + (MV) T (AV)'x + B (B'x), using cached products
-AV and MV. The space grows by the top residual eigenvectors (or their
-inverse images under A for the inverse variant) until the relative spectral
-norm ||R||_2 / ||BB'||_2 drops below the tolerance twice, with a
-rank-trimming restart in between; periodic restarts every ``restart_period``
-sweeps keep the space from growing without bound on hard problems.
+AV and MV (with an identity mass, MV is V itself). The space grows by the
+top residual eigenvectors (or their inverse images under A for the inverse
+variant) until the relative spectral norm ||R||_2 / ||B||_2^2, estimated by
+a converged Lanczos run, drops below the tolerance twice, with a
+rank-trimming restart in between; periodic restarts every
+``restart_period`` sweeps keep the space from growing without bound on hard
+problems. Trims keep the eigenmodes of the core above the retention
+tolerance and above a rounding-level floor relative to the largest mode.
 """
 
 import warnings
@@ -30,7 +33,6 @@ from .dense_lyap import ProjectedSystem, solve_projected
 from .errors import SingularMatrixError
 from .lowrank import LowRankSolution
 from .matrices import (
-    LanczosOptions,
     SymmetricOperator,
     as_matrix,
     check_sparse,
@@ -66,12 +68,14 @@ class LyapunovProblem:
         The stiffness action. A sparse matrix gains inverse products
         (for the inverse variant) through a lazily computed LU.
     m : sparse matrix or None
-        Mass action; None means identity (applications are free and not
-        counted as MVPs).
+        Mass action; None means identity (applications are free, not
+        counted as MVPs, and return their operand).
     b : ndarray (n, s), s >= 1.
 
     Attributes
     ----------
+    identity_mass : bool
+        True when M is the identity (``m`` is None).
     mvps, imvps : int
         Running counts of the products with the large operators done
         through this problem: sparse matrix-vector products (MVPs) and
@@ -92,6 +96,7 @@ class LyapunovProblem:
             n = self._a_mat.shape[0]
             if self._a_mat.shape != (n, n):
                 raise ValueError("A must be square")
+        self.identity_mass = m is None
         if m is None:
             self._m_mat = None
         else:
@@ -123,8 +128,10 @@ class LyapunovProblem:
         return y
 
     def apply_m(self, x, transpose=False):
+        """M x (or M' x). With an identity mass this is ``x`` itself, not a
+        copy: callers must not write into the result."""
         if self._m_mat is None:
-            return np.array(x, dtype=np.float64, copy=True)
+            return np.asarray(x, dtype=np.float64)
         y = sparse_apply(self._m_mat, x, transpose=transpose)
         self._count(x, 1, 0)
         return y
@@ -222,46 +229,37 @@ class ResidualEstimate:
     lanczos_converged: bool
 
 
-def _residual_operator(av, mv, t, b):
-    """Implicit symmetric action of R = A C M' + M C A' + B B'."""
-    n = b.shape[0]
+def _lanczos_residual(av, mv, t, b, m, rng_seed):
+    """Top-|lambda| eigenpairs of R = A C M' + M C A' + B B' by Lanczos on
+    its implicit action, from the cached products AV and MV."""
 
     def matvec(x):
         y = b @ (b.T @ x)
         if t.shape[0]:
-            y = y + av @ (t @ (mv.T @ x))
-            y = y + mv @ (t @ (av.T @ x))
+            y += av @ (t @ (mv.T @ x))
+            y += mv @ (t @ (av.T @ x))
         return y
 
-    return SymmetricOperator(n, matvec)
-
-
-def _estimate_residual(av, mv, t, b, m, lanczos_opts):
-    op = _residual_operator(av, mv, t, b)
-    k = min(m, op.dim)
+    op = SymmetricOperator(b.shape[0], matvec)
     res = lanczos_topk(
         op,
-        k,
-        max_steps=lanczos_opts.max_steps,
-        tol=lanczos_opts.tol,
-        rng_seed=lanczos_opts.rng_seed,
+        min(m, op.dim),
+        max_steps=_RESIDUAL_LANCZOS_STEPS,
+        tol=_RESIDUAL_LANCZOS_TOL,
+        rng_seed=rng_seed,
     )
-    norm2 = float(np.abs(res.eigenvalues).max()) if res.eigenvalues.size else 0.0
+    norm2 = float(np.abs(res.eigenvalues).max())
     return ResidualEstimate(norm2, res.eigenvalues, res.eigenvectors, res.converged)
 
 
-def residual_norm_and_vectors(problem, sol, m, lanczos_opts=None):
+def residual_norm_and_vectors(problem, sol, m):
     """Estimate ||R||_2 and the top-|lambda| residual eigenpairs.
 
-    Forms A V and M V once (2 d applications), then runs Lanczos on the
-    implicit residual action, which costs no further sparse products.
-    Non-convergence of the Lanczos sweep is flagged on the estimate, not
-    raised.
+    Forms A V and M V once (2 d applications), then runs Lanczos (seed 0)
+    on the implicit residual action, which costs no further sparse
+    products. Non-convergence of the Lanczos sweep is flagged on the
+    estimate, not raised.
     """
-    if lanczos_opts is None:
-        lanczos_opts = LanczosOptions(
-            max_steps=_RESIDUAL_LANCZOS_STEPS, tol=_RESIDUAL_LANCZOS_TOL
-        )
     if sol.dimension != problem.dimension:
         raise ValueError("solution and problem dimensions differ")
     if sol.rank:
@@ -270,25 +268,28 @@ def residual_norm_and_vectors(problem, sol, m, lanczos_opts=None):
     else:
         av = np.zeros((problem.dimension, 0))
         mv = np.zeros((problem.dimension, 0))
-    return _estimate_residual(av, mv, sol.t, problem.b, m, lanczos_opts)
+    return _lanczos_residual(av, mv, sol.t, problem.b, m, 0)
 
 
 def _eigen_trim(t, tol):
-    """Eigenpairs (lam, u) of the symmetric core ``t`` with lam > tol,
-    largest first."""
+    """Eigenpairs (lam, u) of the symmetric core ``t`` with
+    lam > max(tol, eps * d * max|lam|), largest first. The relative floor
+    drops rounding-level modes, whose sign rounding alone decides."""
     lam, u = np.linalg.eigh(t)
-    keep = lam > tol
+    floor = np.finfo(float).eps * lam.size * np.abs(lam).max(initial=0.0)
+    keep = lam > max(tol, floor)
     return lam[keep][::-1], u[:, keep][:, ::-1]
 
 
 def restart(sol, restart_tol):
     """Trim a low-rank solution to the eigenmodes above ``restart_tol``.
 
-    The core is eigendecomposed, modes with eigenvalue > restart_tol are
-    kept and the basis is rotated onto them, so the result has a diagonal
-    positive core. Discarding changes C by at most the sum of dropped
-    eigenvalue magnitudes; with restart_tol = 0 only nonpositive modes go.
-    An empty result (everything discarded) is returned with a warning.
+    The core is eigendecomposed, modes with eigenvalue above
+    max(restart_tol, eps * d * max|lambda|) are kept and the basis is
+    rotated onto them, so the result has a diagonal positive core.
+    Discarding changes C by at most the sum of dropped eigenvalue
+    magnitudes; with restart_tol = 0 only nonpositive and rounding-level
+    modes go. An empty result (everything discarded) is returned with a warning.
     """
     if sol.rank == 0:
         return sol
@@ -342,7 +343,10 @@ class _State:
         mt[:d0, d0:] = self.v.T @ mq
         v_new = np.concatenate([self.v, q], axis=1)
         av_new = np.concatenate([self.av, aq], axis=1)
-        mv_new = np.concatenate([self.mv, mq], axis=1)
+        if p.identity_mass:
+            mv_new = v_new
+        else:
+            mv_new = np.concatenate([self.mv, mq], axis=1)
         at[d0:, :] = q.T @ av_new
         mt[d0:, :] = q.T @ mv_new
         self.v, self.av, self.mv = v_new, av_new, mv_new
@@ -356,7 +360,7 @@ class _State:
         lam, u = _eigen_trim(t, restart_tol)
         self.v = self.v @ u
         self.av = self.av @ u
-        self.mv = self.mv @ u
+        self.mv = self.v if self.problem.identity_mass else self.mv @ u
         self.at = u.T @ self.at @ u
         self.mt = u.T @ self.mt @ u
         self.bt = u.T @ self.bt
@@ -385,17 +389,6 @@ def _initial_space(problem, opts):
     return q
 
 
-def _bb_norm(problem, opts):
-    """||BB'||_2, exact up to Lanczos termination (the operator has the
-    rank of B, so few steps suffice)."""
-    b = problem.b
-    op = SymmetricOperator(b.shape[0], lambda x: b @ (b.T @ x))
-    steps = min(b.shape[0], b.shape[1] + 20)
-    res = lanczos_topk(op, 1, max_steps=max(steps, 5), tol=1e-12,
-                       rng_seed=opts.rng_seed + 104729)
-    return float(np.abs(res.eigenvalues).max())
-
-
 def solve(problem, opts=None, callback=None):
     """Run the iteration until the relative residual passes ``opts.tol``
     twice (with a rank-trimming restart between the two passes), the sweep
@@ -412,10 +405,10 @@ def solve(problem, opts=None, callback=None):
     Returns
     -------
     (LowRankSolution, SolveReport). The returned core is positive
-    definite on its range: nonpositive modes are trimmed on exit.
-    ``converged`` is True when the final residual estimate met the
-    tolerance, even if the budget ended the run before the confirming
-    second pass.
+    definite on its range: nonpositive and rounding-level modes are
+    trimmed on exit. ``converged`` is True when the final residual
+    estimate met the tolerance and its Lanczos run converged, even if the
+    budget ended the run before the confirming second pass.
     """
     if opts is None:
         opts = SolverOptions()
@@ -425,8 +418,7 @@ def solve(problem, opts=None, callback=None):
     state.extend(_initial_space(problem, opts))
     report.max_space_dim = state.dim
 
-    bb = _bb_norm(problem, opts)
-    bb_floor = max(bb, np.finfo(float).tiny)
+    bb_floor = max(np.linalg.norm(problem.b, 2) ** 2, np.finfo(float).tiny)
     restart_tol = opts.restart_tol
     converged_once = False
     t = np.zeros((0, 0))
@@ -436,13 +428,9 @@ def solve(problem, opts=None, callback=None):
 
     for it in range(1, opts.max_iters + 1):
         t = solve_projected(ProjectedSystem(state.at, state.mt, state.bt))
-        lanczos_opts = LanczosOptions(
-            max_steps=_RESIDUAL_LANCZOS_STEPS,
-            tol=_RESIDUAL_LANCZOS_TOL,
-            rng_seed=opts.rng_seed + 7919 * it,
-        )
-        est = _estimate_residual(
-            state.av, state.mv, t, problem.b, opts.expand_m, lanczos_opts
+        est = _lanczos_residual(
+            state.av, state.mv, t, problem.b, opts.expand_m,
+            opts.rng_seed + 7919 * it,
         )
         rho = est.norm2 / bb_floor
         report.residual_history.append((it, rho))
@@ -450,7 +438,7 @@ def solve(problem, opts=None, callback=None):
         if callback is not None:
             callback(it, rho, state.dim)
 
-        conv_now = rho < opts.tol
+        conv_now = rho < opts.tol and est.lanczos_converged
         if conv_now and converged_once:
             termination = "converged"
             break
@@ -482,8 +470,8 @@ def solve(problem, opts=None, callback=None):
         state.extend(q)
         report.max_space_dim = max(report.max_space_dim, state.dim)
 
-    # trim nonpositive modes so the returned core is PD on its range;
-    # at working precision this perturbs C at rounding level only
+    # trim nonpositive and rounding-level modes so the returned core is PD
+    # on its range; this perturbs C at rounding level only
     sol = LowRankSolution(state.v, t)
     if sol.rank:
         lam, u = _eigen_trim(sol.t, 0.0)

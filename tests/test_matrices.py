@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 
 from rails.matrices import (
-    LanczosOptions,
     SymmetricOperator,
     lanczos_topk,
     matrix_operator,
@@ -115,6 +115,32 @@ class TestOrthonormalize:
         with pytest.raises(ValueError):
             orthonormalize(np.eye(3), against=np.eye(4)[:, :1])
 
+    @pytest.mark.parametrize("with_basis", [False, True])
+    def test_near_dependent_columns(self, with_basis):
+        # Hilbert columns are close to dependent: the kept ones must still
+        # be orthonormal and orthogonal to the fixed basis at working
+        # precision, and span what was given.
+        w = scipy.linalg.hilbert(60)[:, :12]
+        base = None
+        if with_basis:
+            base, _ = orthonormalize(np.random.default_rng(3).standard_normal((60, 5)))
+        q, kept = orthonormalize(w, against=base)
+        assert 0 < kept < 12
+        assert np.abs(q.T @ q - np.eye(kept)).max() <= 1e-12
+        full = q if base is None else np.hstack([base, q])
+        if base is not None:
+            assert np.abs(base.T @ q).max() <= 1e-12
+        assert np.linalg.norm(w - full @ (full.T @ w)) <= 1e-6 * np.linalg.norm(w)
+
+    def test_input_unmodified(self):
+        rng = np.random.default_rng(7)
+        w = rng.standard_normal((30, 4))
+        base, _ = orthonormalize(rng.standard_normal((30, 3)))
+        w_copy, base_copy = w.copy(), base.copy()
+        orthonormalize(w, against=base)
+        assert np.array_equal(w, w_copy)
+        assert np.array_equal(base, base_copy)
+
 
 class TestLanczos:
     def test_diagonal_top_pair(self):
@@ -184,18 +210,27 @@ class TestLanczos:
         res = lanczos_topk(matrix_operator(mat), 2, max_steps=10)
         assert abs(res.eigenvalues[0] - 4.0) < 1e-10
 
+    def test_large_diagonal_operator(self):
+        # n = 3000: the top eigenvalues by magnitude are known and well
+        # separated from a dense bulk in [-5, 5].
+        n = 3000
+        d = np.concatenate([[10.0, -9.0, 8.0], np.linspace(-5.0, 5.0, n - 3)])
+        d = d[np.random.default_rng(0).permutation(n)]
+        res = lanczos_topk(SymmetricOperator(n, lambda x: d * x), 3,
+                           max_steps=60, tol=1e-10)
+        assert res.converged
+        assert np.allclose(res.eigenvalues, [10.0, -9.0, 8.0], atol=1e-8)
+        for i in range(3):
+            v = res.eigenvectors[:, i]
+            lam = res.eigenvalues[i]
+            assert np.linalg.norm(d * v - lam * v) <= 1e-6 * abs(lam)
+
     def test_k_validation(self):
         op = matrix_operator(np.eye(2))
         with pytest.raises(ValueError):
             lanczos_topk(op, 0)
         with pytest.raises(ValueError):
             lanczos_topk(op, 3)
-
-    def test_options_defaults(self):
-        opts = LanczosOptions()
-        assert opts.max_steps == 20
-        assert opts.tol == 1e-8
-        assert opts.rng_seed == 0
 
 
 class TestSymmetricOperator:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -5,12 +7,14 @@ import scipy.sparse as sparse
 from rails.dae import SchurOperator, partition
 from rails.errors import ForcingOnConstraintError
 from rails.lowrank import LowRankSolution
-from rails.matrices import sparse_apply
+from rails.matrices import orthonormalize, sparse_apply
 from rails.oracles import kron_solve, kron_solve_dae, residual_matrix
+import rails.solver
 from rails.solver import (
     LyapunovProblem,
     SolverOptions,
     residual_norm_and_vectors,
+    _State,
     restart,
     solve,
     solve_dae,
@@ -140,6 +144,23 @@ class TestSolveBasics:
         assert not report.converged
         assert report.termination_reason == "stagnated"
 
+    def test_unconverged_lanczos_does_not_certify(self, monkeypatch):
+        # The first sweep already spans everything, so the residual
+        # estimate is tiny; it still must not certify convergence when its
+        # Lanczos run is flagged unconverged.
+        real = rails.solver.lanczos_topk
+        monkeypatch.setattr(
+            rails.solver, "lanczos_topk",
+            lambda *a, **kw: dataclasses.replace(real(*a, **kw), converged=False),
+        )
+        problem = LyapunovProblem(_csr(-np.eye(4)), None, np.eye(4))
+        opts = SolverOptions(initial_space="columns_of_b", tol=1e-10,
+                             max_iters=3)
+        _, report = solve(problem, opts)
+        assert report.residual_history[-1][1] < 1e-10
+        assert not report.converged
+        assert report.termination_reason != "converged"
+
     def test_invalid_options(self):
         with pytest.raises(ValueError):
             SolverOptions(expand_m=0)
@@ -268,6 +289,12 @@ class TestRestart:
         assert out.rank == int(keep.sum())
         assert np.allclose(out.to_dense(), dense_trim, atol=1e-10)
 
+    def test_rounding_level_modes_dropped(self):
+        # Modes of +-1e-20 against a largest mode of 1 are rounding noise:
+        # neither sign keeps them.
+        sol = LowRankSolution(np.eye(3), np.diag([1.0, 1e-20, -1e-20]))
+        assert restart(sol, 0.0).rank == 1
+
     def test_empty_input_passes_through(self):
         sol = LowRankSolution(np.zeros((4, 0)), np.zeros((0, 0)))
         assert restart(sol, 0.5) is sol
@@ -313,6 +340,17 @@ class TestSearchSpaceStructure:
         est = residual_norm_and_vectors(problem, sol, 1)
         assert est.norm2 <= 1e-10 * bb
         assert report.converged
+
+
+class TestSearchSpaceStorage:
+    def test_identity_mass_keeps_one_basis(self):
+        a, _, _ = gen_diffusion(100)
+        state = _State(LyapunovProblem(a, None, np.eye(100)[:, :1]))
+        q, _ = orthonormalize(np.random.default_rng(0).standard_normal((100, 3)))
+        state.extend(q)
+        assert np.shares_memory(state.mv, state.v)
+        state.truncate(np.eye(3), 0.0)
+        assert np.shares_memory(state.mv, state.v)
 
 
 class TestOperationCounts:
