@@ -29,13 +29,7 @@ def _apply_thread_cap():
 _apply_thread_cap()
 
 from .analysis import EofSet, eofs, gaussian_logpdf, sample_stationary
-from .dae import (
-    DaeSystem,
-    SchurOperator,
-    partition,
-    recover_full_covariance,
-    schur_apply,
-)
+from .dae import DaeSystem, partition, recover_full_covariance, schur_apply
 from .dense_lyap import ProjectedSystem, solve_projected, solve_standard_dense
 from .errors import (
     ForcingOnConstraintError,
@@ -52,9 +46,7 @@ from .errors import (
 from .lowrank import LowRankSolution
 from .matrices import (
     LanczosResult,
-    SymmetricOperator,
     lanczos_topk,
-    matrix_operator,
     orthonormalize,
     sparse_apply,
     sparse_from_triplets,
@@ -95,7 +87,6 @@ __all__ = [
     "gaussian_logpdf",
     "sample_stationary",
     "DaeSystem",
-    "SchurOperator",
     "partition",
     "recover_full_covariance",
     "schur_apply",
@@ -114,9 +105,7 @@ __all__ = [
     "GenerationError",
     "LowRankSolution",
     "LanczosResult",
-    "SymmetricOperator",
     "lanczos_topk",
-    "matrix_operator",
     "orthonormalize",
     "sparse_apply",
     "sparse_from_triplets",

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCovarianceError
-from .lowrank import LowRankSolution
 
 __all__ = [
     "EofSet",

@@ -159,9 +159,7 @@ def _cmd_generate(args):
             args.n_diff, args.n_alg, args.coupling, args.shift, args.seed
         )
         n = args.n_diff + args.n_alg
-    forcing = testproblems.gen_forcing(
-        sites, n, _PATTERNS[args.pattern], args.sigma, rng_seed=args.seed
-    )
+    forcing = testproblems.gen_forcing(sites, n, _PATTERNS[args.pattern], args.sigma)
     os.makedirs(args.out, exist_ok=True)
     mmio.save_sparse(os.path.join(args.out, "A.mtx"), a)
     mmio.save_sparse(os.path.join(args.out, "M.mtx"), m)

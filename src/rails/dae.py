@@ -9,13 +9,14 @@ as
 
 (in a permuted ordering; the original ordering is retained for recovery)
 and factorizes A11 once. The covariance problem then lives on the
-differential block with the Schur complement S = A22 - A21 A11^{-1} A12
-acting implicitly through ``schur_apply``. ``recover_full_covariance``
-maps a low-rank solution of the reduced problem back to the full space.
+differential block, and the returned ``DaeSystem`` is its operator: it
+applies the Schur complement S = A22 - A21 A11^{-1} A12 implicitly through
+``schur_apply`` and S^{-1} through a bordered solve with the whole A.
+``recover_full_covariance`` maps a low-rank solution of the reduced
+problem back to the full space.
 """
 
 import numpy as np
-import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .errors import (
@@ -26,20 +27,22 @@ from .errors import (
 from .lowrank import LowRankSolution
 from .matrices import as_matrix, check_sparse, sparse_apply
 
-__all__ = ["DaeSystem", "SchurOperator", "partition", "schur_apply", "recover_full_covariance"]
+__all__ = ["DaeSystem", "partition", "schur_apply", "recover_full_covariance"]
 
 
 class DaeSystem:
-    """Partitioned DAE data with reusable factorizations.
+    """Partitioned DAE data with reusable factorizations, and the reduced
+    operator S the solver iterates on.
 
     Attributes of interest: ``algebraic_rows`` / ``differential_rows``
     (index arrays into the original ordering), the four A blocks, ``m22``,
     ``b2``, and ``a11_lu`` (sparse LU of A11, None in pass-through mode).
+    ``apply`` and ``solve`` act with S and S^{-1} on vectors of length
+    ``n_differential``.
     """
 
     def __init__(self, a, m, b, algebraic_rows, differential_rows):
         self.a_full = a
-        self.m_full = m
         self.algebraic_rows = algebraic_rows
         self.differential_rows = differential_rows
         alg, diff = algebraic_rows, differential_rows
@@ -86,12 +89,21 @@ class DaeSystem:
         x = np.asarray(x, dtype=np.float64)
         return self.a11_lu.solve(x, trans="T" if transpose else "N")
 
-    def solve_full(self, rhs):
-        """A^{-1} rhs on the full space, for a vector or the columns of a matrix.
+    @property
+    def apply_cost(self):
+        """(sparse products, sparse solves) per column of one ``apply``,
+        as spent by ``schur_apply``. One ``solve`` costs one sparse solve
+        per column."""
+        return (1, 0) if self.is_pass_through() else (3, 1)
 
-        Used by the inverse iteration variant: the Schur complement solve
-        S^{-1} x is realized as a bordered solve with the whole A.
-        """
+    def apply(self, x, transpose=False):
+        """S x (or S' x) through ``schur_apply``."""
+        return schur_apply(self, x, transpose=transpose)
+
+    def solve(self, x):
+        """S^{-1} x for a vector or the columns of a matrix, through a
+        bordered solve with the full A (zero right-hand side on the
+        algebraic rows); its LU is computed on first use."""
         if self._a_full_lu is None:
             try:
                 self._a_full_lu = spla.splu(self.a_full.tocsc())
@@ -99,16 +111,21 @@ class DaeSystem:
                 raise SingularMatrixError(
                     f"full operator A is singular, inverse products unavailable: {exc}"
                 ) from exc
-        return self._a_full_lu.solve(np.asarray(rhs, dtype=np.float64))
+        x = np.asarray(x, dtype=np.float64)
+        if self.is_pass_through():
+            return self._a_full_lu.solve(x)
+        rhs = np.zeros((self.dimension,) + x.shape[1:])
+        rhs[self.differential_rows] = x
+        return self._a_full_lu.solve(rhs)[self.differential_rows]
 
 
-def partition(a, m, b, zero_tol=0.0, relative=False):
+def partition(a, m, b):
     """Split (A, M, B) into algebraic and differential parts.
 
-    Rows of M whose largest entry magnitude is <= ``zero_tol`` (times
-    max|M| when ``relative``) are algebraic. B must vanish on those rows:
-    white noise cannot force a constraint. With no algebraic rows the
-    returned system is a pass-through and no factorization happens.
+    Rows of M with no nonzero entry are algebraic. B must vanish on those
+    rows: white noise cannot force a constraint. With no algebraic rows the
+    returned system is a pass-through: S is A and no A11 factorization
+    happens.
     """
     a = check_sparse(a)
     m = check_sparse(m)
@@ -118,17 +135,16 @@ def partition(a, m, b, zero_tol=0.0, relative=False):
         raise ValueError("A and M must be square matrices of the same size")
     if b.shape[0] != n:
         raise ValueError(f"B has {b.shape[0]} rows, expected {n}")
-    tol = zero_tol * (np.abs(m.data).max() if relative and m.nnz else 1.0)
     row_max = np.zeros(n)
     mco = m.tocoo()
     if mco.nnz:
         np.maximum.at(row_max, mco.row, np.abs(mco.data))
-    algebraic = np.flatnonzero(row_max <= tol)
-    differential = np.flatnonzero(row_max > tol)
+    algebraic = np.flatnonzero(row_max == 0.0)
+    differential = np.flatnonzero(row_max > 0.0)
     if algebraic.size:
         bad = np.abs(b[algebraic, :]).max(initial=0.0)
-        if bad > tol:
-            rows = algebraic[np.abs(b[algebraic, :]).max(axis=1) > tol]
+        if bad > 0.0:
+            rows = algebraic[np.abs(b[algebraic, :]).max(axis=1) > 0.0]
             raise ForcingOnConstraintError(
                 f"B has entries of magnitude up to {bad:.3e} on algebraic "
                 f"rows {rows[:5].tolist()}; noise cannot act on constraints"
@@ -140,7 +156,7 @@ def schur_apply(sys, x, transpose=False):
     """Apply S = A22 - A21 A11^{-1} A12 (or S') to the columns of x.
 
     One multiply each with A22, A12 (A21' if transposed) and A21, plus one
-    sparse solve with A11, per column (``SchurOperator.apply_cost``). In
+    sparse solve with A11, per column (``DaeSystem.apply_cost``). In
     pass-through mode S is just A.
     """
     if sys.is_pass_through():
@@ -152,34 +168,6 @@ def schur_apply(sys, x, transpose=False):
     y = sparse_apply(sys.a22, x, transpose=True)
     z = sys.solve_a11(sparse_apply(sys.a21, x, transpose=True), transpose=True)
     return y - sparse_apply(sys.a12, z, transpose=True)
-
-
-class SchurOperator:
-    """The reduced operator S exposed with the action interface the solver
-    expects (apply / apply transpose / inverse apply)."""
-
-    def __init__(self, sys):
-        self.sys = sys
-        self.dim = sys.n_differential
-
-    @property
-    def apply_cost(self):
-        """(sparse products, sparse solves) per column of one ``apply``,
-        as spent by ``schur_apply``. One ``solve`` costs one sparse solve
-        per column."""
-        return (1, 0) if self.sys.is_pass_through() else (3, 1)
-
-    def apply(self, x, transpose=False):
-        return schur_apply(self.sys, x, transpose=transpose)
-
-    def solve(self, x):
-        """S^{-1} x through a bordered solve with the full A."""
-        if self.sys.is_pass_through():
-            return self.sys.solve_full(x)
-        x = np.asarray(x, dtype=np.float64)
-        rhs = np.zeros((self.sys.dimension,) + x.shape[1:])
-        rhs[self.sys.differential_rows] = x
-        return self.sys.solve_full(rhs)[self.sys.differential_rows]
 
 
 def recover_full_covariance(sys, sol):

@@ -90,20 +90,19 @@ def solve_standard_dense(f, q):
     return 0.5 * (t + t.T)
 
 
-def solve_projected(sys, dim_cap=DIMENSION_CAP):
-    """Solve A T M' + M T A' + B B' = 0 for the dense system ``sys``.
+def solve_projected(sys):
+    """Solve A T M' + M T A' + B B' = 0 for the ``ProjectedSystem`` ``sys``.
 
     The generalized equation is reduced with F = M^{-1} A and
     G = M^{-1} B (LU with partial pivoting), solved in standard form and
     symmetrized. The pencil must be stable; a singular or terribly
-    conditioned M (1-norm condition estimate) is rejected before solving.
+    conditioned M (1-norm condition estimate) is rejected before solving,
+    and so is a system larger than ``DIMENSION_CAP``.
     """
-    if not isinstance(sys, ProjectedSystem):
-        sys = ProjectedSystem(*sys)
     d = sys.a.shape[0]
-    if d > dim_cap:
+    if d > DIMENSION_CAP:
         raise ValueError(
-            f"projected system size {d} exceeds the cap {dim_cap}; "
+            f"projected system size {d} exceeds the cap {DIMENSION_CAP}; "
             f"the search space has grown past what dense solves support"
         )
     if d == 0:

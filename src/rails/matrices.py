@@ -1,7 +1,8 @@
 """Shared matrix kernels: validated constructors, checked sparse products,
-block Gram-Schmidt with deflation, and a Lanczos eigensolver for implicit
-symmetric operators. Both orthogonalize through one helper that projects a
-vector off orthonormal blocks, twice.
+block Gram-Schmidt with deflation, and a Lanczos eigensolver for symmetric
+operators given as anything ``scipy.sparse.linalg.aslinearoperator``
+accepts. Both orthogonalize through one helper that projects a vector off
+orthonormal blocks, twice.
 
 The kernels keep no state. Products and solves are counted per solve by
 ``rails.solver.LyapunovProblem``, the object the solver applies them
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import aslinearoperator
 
 __all__ = [
     "sparse_from_triplets",
@@ -20,8 +22,6 @@ __all__ = [
     "as_matrix",
     "sparse_apply",
     "orthonormalize",
-    "SymmetricOperator",
-    "matrix_operator",
     "LanczosResult",
     "lanczos_topk",
 ]
@@ -94,6 +94,10 @@ def sparse_apply(a, x, transpose=False):
     return np.asarray(op @ x)
 
 
+# relative norm below which orthonormalize drops a column as dependent
+_DROP_TOL = 1e-8
+
+
 def _project_out(x, *blocks):
     """Remove from ``x``, in place, its components in the spans of
     ``blocks``, whose columns together are orthonormal: classical
@@ -105,15 +109,15 @@ def _project_out(x, *blocks):
     return x
 
 
-def orthonormalize(w, against=None, drop_tol=1e-8):
+def orthonormalize(w, against=None):
     """Orthonormalize the columns of ``w``, optionally against a fixed basis.
 
     Each column is projected off ``against`` and off the columns accepted
     before it, one block product each, and the pair of projections is
     repeated once (classical Gram-Schmidt applied twice). A column whose
-    norm after projection falls below ``drop_tol`` times its original norm
-    is considered dependent and dropped rather than normalized. ``w`` is
-    not modified.
+    norm after projection falls below 1e-8 times its original norm is
+    considered dependent and dropped rather than normalized. ``w`` is not
+    modified.
 
     Parameters
     ----------
@@ -121,8 +125,6 @@ def orthonormalize(w, against=None, drop_tol=1e-8):
         Candidate columns. A 1-d array is treated as one column.
     against : ndarray (n, p), optional
         Orthonormal basis the result must also be orthogonal to.
-    drop_tol : float
-        Relative deflation threshold.
 
     Returns
     -------
@@ -148,45 +150,11 @@ def orthonormalize(w, against=None, drop_tol=1e-8):
             continue
         _project_out(v, *blocks, q[:, :kept])
         norm1 = np.linalg.norm(v)
-        if norm1 < drop_tol * norm0:
+        if norm1 < _DROP_TOL * norm0:
             continue
         v /= norm1
         kept += 1
     return q[:, :kept], kept
-
-
-class SymmetricOperator:
-    """A symmetric linear map given by its action.
-
-    Parameters
-    ----------
-    dim : int
-        Dimension of the space the operator acts on.
-    matvec : callable
-        Maps a vector of length ``dim`` to another. Symmetry (x.(Ay) ==
-        y.(Ax)) is the caller's obligation; it is asserted statistically
-        in the test suite, never at runtime.
-    """
-
-    def __init__(self, dim, matvec):
-        self.dim = int(dim)
-        self._matvec = matvec
-
-    def apply(self, x):
-        x = np.asarray(x)
-        if x.shape[0] != self.dim:
-            raise ValueError(
-                f"operator acts on vectors of length {self.dim}, got {x.shape[0]}"
-            )
-        return self._matvec(x)
-
-
-def matrix_operator(a):
-    """Wrap an explicit (sparse or dense) symmetric matrix as an operator."""
-    if sparse.issparse(a):
-        return SymmetricOperator(a.shape[0], lambda x: a @ x)
-    a = as_matrix(a)
-    return SymmetricOperator(a.shape[0], lambda x: a @ x)
 
 
 @dataclass
@@ -209,11 +177,13 @@ def lanczos_topk(op, k, max_steps=20, tol=1e-8, rng_seed=0):
 
     Parameters
     ----------
-    op : SymmetricOperator
+    op : scipy LinearOperator, dense or sparse matrix
+        Square and symmetric; symmetry is the caller's obligation and is
+        not checked.
     k : int
-        Number of eigenpairs wanted (k <= op.dim).
+        Number of eigenpairs wanted (k <= n, the operator's dimension).
     max_steps : int
-        Cap on the basis size (effective cap is min(max_steps, op.dim)).
+        Cap on the basis size (effective cap is min(max_steps, n)).
     tol : float
         Relative Ritz residual target: pairs count as converged once
         ||op v - lam v|| <= tol * max|lam|.
@@ -224,7 +194,8 @@ def lanczos_topk(op, k, max_steps=20, tol=1e-8, rng_seed=0):
     LanczosResult. ``converged`` is False when the bound was not met
     within ``max_steps``; the best estimates are still returned.
     """
-    n = op.dim
+    op = aslinearoperator(op)
+    n = op.shape[0]
     k = int(k)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -253,7 +224,7 @@ def lanczos_topk(op, k, max_steps=20, tol=1e-8, rng_seed=0):
     while True:
         basis[:, j] = q
         j += 1
-        u = np.asarray(op.apply(q), dtype=np.float64)
+        u = op.matvec(q)
         alpha = float(q @ u)
         alphas[j - 1] = alpha
         r = u - alpha * q

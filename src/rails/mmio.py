@@ -11,6 +11,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sparse
 
+from .lowrank import LowRankSolution
 from .matrices import as_matrix, check_sparse
 
 __all__ = [
@@ -66,8 +67,7 @@ def save_solution(directory, sol):
 
 
 def load_solution(directory):
-    from .lowrank import LowRankSolution
-
+    """Read the V.mtx and T.mtx that ``save_solution`` wrote."""
     v = load_dense(os.path.join(directory, "V.mtx"))
     t = load_dense(os.path.join(directory, "T.mtx"))
     return LowRankSolution(v, t)

@@ -28,18 +28,11 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .dae import SchurOperator, partition, recover_full_covariance
-from .dense_lyap import ProjectedSystem, solve_projected
+from .dae import DaeSystem, partition, recover_full_covariance
+from .dense_lyap import DIMENSION_CAP, ProjectedSystem, solve_projected
 from .errors import SingularMatrixError
 from .lowrank import LowRankSolution
-from .matrices import (
-    SymmetricOperator,
-    as_matrix,
-    check_sparse,
-    lanczos_topk,
-    orthonormalize,
-    sparse_apply,
-)
+from .matrices import as_matrix, check_sparse, lanczos_topk, orthonormalize, sparse_apply
 
 __all__ = [
     "LyapunovProblem",
@@ -52,7 +45,6 @@ __all__ = [
     "restart",
 ]
 
-_DROP_TOL = 1e-8
 # Residual-norm estimation inside the solve loop. Tighter than the
 # lanczos_topk defaults: the convergence certificate leans on it.
 _RESIDUAL_LANCZOS_STEPS = 30
@@ -64,9 +56,11 @@ class LyapunovProblem:
 
     Parameters
     ----------
-    a : sparse matrix or SchurOperator
-        The stiffness action. A sparse matrix gains inverse products
-        (for the inverse variant) through a lazily computed LU.
+    a : sparse matrix or DaeSystem
+        The stiffness action: the matrix, or the Schur complement of a
+        partitioned DAE. A sparse matrix gains inverse products (for the
+        inverse variant) through a lazily computed LU, a DaeSystem through
+        its bordered solve.
     m : sparse matrix or None
         Mass action; None means identity (applications are free, not
         counted as MVPs, and return their operand).
@@ -79,17 +73,17 @@ class LyapunovProblem:
     mvps, imvps : int
         Running counts of the products with the large operators done
         through this problem: sparse matrix-vector products (MVPs) and
-        sparse solves (IMVPs), one per column of the operand. A Schur
-        operator charges its ``apply_cost`` per column. ``solve`` reports
+        sparse solves (IMVPs), one per column of the operand. A DaeSystem
+        charges its ``apply_cost`` per column. ``solve`` reports
         how much they grew during the call, so reusing a problem still
         gives per-solve counts.
     """
 
     def __init__(self, a, m, b):
-        if isinstance(a, SchurOperator):
+        if isinstance(a, DaeSystem):
             self._a_op = a
             self._a_mat = None
-            n = a.dim
+            n = a.n_differential
         else:
             self._a_mat = check_sparse(a)
             self._a_op = None
@@ -137,7 +131,7 @@ class LyapunovProblem:
         return y
 
     def apply_a_inverse(self, x):
-        """A^{-1} x, available for sparse A and Schur operators."""
+        """A^{-1} x, available for sparse A and DAE systems."""
         if self._a_op is not None:
             y = self._a_op.solve(x)
         else:
@@ -240,10 +234,10 @@ def _lanczos_residual(av, mv, t, b, m, rng_seed):
             y += mv @ (t @ (av.T @ x))
         return y
 
-    op = SymmetricOperator(b.shape[0], matvec)
+    n = b.shape[0]
     res = lanczos_topk(
-        op,
-        min(m, op.dim),
+        spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64),
+        min(m, n),
         max_steps=_RESIDUAL_LANCZOS_STEPS,
         tol=_RESIDUAL_LANCZOS_TOL,
         rng_seed=rng_seed,
@@ -383,7 +377,7 @@ def _initial_space(problem, opts):
         w = problem.b
     else:  # inverse_applied_to_b
         w = problem.apply_a_inverse(problem.b)
-    q, kept = orthonormalize(w, drop_tol=_DROP_TOL)
+    q, kept = orthonormalize(w)
     if kept == 0 and kind != "given":
         raise ValueError(f"initial space {kind!r} produced no independent columns")
     return q
@@ -392,7 +386,9 @@ def _initial_space(problem, opts):
 def solve(problem, opts=None, callback=None):
     """Run the iteration until the relative residual passes ``opts.tol``
     twice (with a rank-trimming restart between the two passes), the sweep
-    budget runs out, or the space stagnates.
+    budget runs out, the space stagnates, or growing it would pass
+    ``DIMENSION_CAP`` (termination "space_cap"; the current iterate is
+    returned).
 
     Parameters
     ----------
@@ -454,7 +450,7 @@ def solve(problem, opts=None, callback=None):
         vecs = est.eigenvectors
         if opts.variant == "inverse":
             vecs = problem.apply_a_inverse(vecs)
-        q, kept = orthonormalize(vecs, against=state.v, drop_tol=_DROP_TOL)
+        q, kept = orthonormalize(vecs, against=state.v)
         if kept == 0 and not conv_now:
             if opts.restart_tol_growth > 1.0:
                 # grow the retention tolerance from the core's own scale so
@@ -463,9 +459,11 @@ def solve(problem, opts=None, callback=None):
                 floor = np.finfo(float).eps * max(scale, np.finfo(float).tiny)
                 restart_tol = opts.restart_tol_growth * max(restart_tol, floor)
                 t = state.truncate(t, restart_tol)
-                report.max_space_dim = max(report.max_space_dim, state.dim)
                 continue
             termination = "stagnated"
+            break
+        if state.dim + kept > DIMENSION_CAP:
+            termination = "space_cap"
             break
         state.extend(q)
         report.max_space_dim = max(report.max_space_dim, state.dim)
@@ -489,23 +487,18 @@ def solve(problem, opts=None, callback=None):
 def solve_dae(a, m, b, opts=None, callback=None):
     """Partition a DAE pencil, solve the reduced problem, lift the result.
 
-    With no algebraic rows this is exactly ``solve`` on (A, M, B). The
-    report counts the recovery too: one A12 product and one A11 solve per
-    column of the reduced basis.
+    An identity M22 is passed as None (free applications). With algebraic
+    rows the report counts the recovery too: one A12 product and one A11
+    solve per column of the reduced basis. With none, S is A and the
+    reduced solution is the answer.
     """
     sys = partition(a, m, b)
-    if sys.is_pass_through():
-        mass = check_sparse(m)
-        if (mass != sparse.identity(sys.dimension, format="csr")).nnz == 0:
-            mass = None
-        problem = LyapunovProblem(check_sparse(a), mass, b)
-        return solve(problem, opts, callback=callback)
     mass = sys.m22
-    ident = sparse.identity(sys.n_differential, format="csr")
-    if (mass != ident).nnz == 0:
+    if (mass != sparse.identity(sys.n_differential, format="csr")).nnz == 0:
         mass = None
-    problem = LyapunovProblem(SchurOperator(sys), mass, sys.b2)
-    sol, report = solve(problem, opts, callback=callback)
+    sol, report = solve(LyapunovProblem(sys, mass, sys.b2), opts, callback=callback)
+    if sys.is_pass_through():
+        return sol, report
     full = recover_full_covariance(sys, sol)
     report.final_rank = full.rank
     report.mvp_count += sol.rank

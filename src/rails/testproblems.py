@@ -118,7 +118,7 @@ def gen_dae(n_diff, n_alg, coupling=0.3, shift=1.0, rng_seed=0):
     )
 
 
-def gen_forcing(sites, n, pattern, magnitude=1.0, weights=None, rng_seed=0):
+def gen_forcing(sites, n, pattern, magnitude=1.0, weights=None):
     """Forcing matrix over the given site rows.
 
     uncorrelated_columns
@@ -129,8 +129,7 @@ def gen_forcing(sites, n, pattern, magnitude=1.0, weights=None, rng_seed=0):
         diag(B @ 1) restricted to its nonzero columns, again one column
         per site.
 
-    ``weights`` defaults to all ones. ``rng_seed`` is accepted for
-    interface stability; the stock patterns are deterministic.
+    ``weights`` defaults to all ones. The patterns are deterministic.
     """
     sites = np.asarray(sites, dtype=np.int64).reshape(-1)
     if sites.size == 0:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+import rails.solver
 from rails import cli, errors, mmio
 from rails.cli import main
 
@@ -120,6 +121,22 @@ class TestSolve:
         assert (solution / "V.mtx").exists()
         report = json.loads((solution / "report.json").read_text())
         assert report["converged"] is False
+
+    def test_space_cap_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rails.solver, "DIMENSION_CAP", 10)
+        problem = tmp_path / "problem"
+        assert _run("generate", "--kind", "diffusion", "--n", "200",
+                    "--pattern", "row-sum", "--out", str(problem)) == 0
+        solution = tmp_path / "solution"
+        code = _run(
+            "solve", "--a", str(problem / "A.mtx"), "--m",
+            str(problem / "M.mtx"), "--b", str(problem / "B.mtx"),
+            "--tol", "1e-12", "--out", str(solution),
+        )
+        assert code == 1
+        report = json.loads((solution / "report.json").read_text())
+        assert report["termination_reason"] == "space_cap"
+        assert 0 < report["final_rank"] <= report["max_space_dim"] <= 10
 
     def test_missing_input_is_io_error(self, tmp_path):
         code = _run(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from rails.dae import SchurOperator, partition
+from rails.dae import partition
 from rails.errors import ForcingOnConstraintError
 from rails.lowrank import LowRankSolution
 from rails.matrices import orthonormalize, sparse_apply
@@ -366,14 +366,14 @@ class TestOperationCounts:
     def test_solve_counts_inverse_products(self):
         a, m, sites = gen_dae(10, 4, rng_seed=1)
         sys = partition(a, m, np.zeros((14, 0)))
-        problem = LyapunovProblem(SchurOperator(sys), None, np.ones((10, 1)))
+        problem = LyapunovProblem(sys, None, np.ones((10, 1)))
         problem.apply_a_inverse(np.ones((10, 3)))
         assert problem.imvps == 3
 
     def test_apply_counts_forward_products(self):
         a, m, sites = gen_dae(10, 4, rng_seed=1)
         sys = partition(a, m, np.zeros((14, 0)))
-        problem = LyapunovProblem(SchurOperator(sys), None, np.ones((10, 1)))
+        problem = LyapunovProblem(sys, None, np.ones((10, 1)))
         problem.apply_a(np.ones((10, 2)))
         # One sparse product per column for each of A12, A21, A22 plus the
         # constraint solve; the exact ledger is: 3 forward + 1 inverse each.
@@ -478,6 +478,34 @@ class TestRestartInsideSolve:
         assert sol.rank <= report.max_space_dim
 
 
+    def test_tolerance_growth_gets_past_stagnation(self):
+        # With growth 1 the space stops growing; growing the retention
+        # tolerance trims it so the solve can go on to convergence.
+        a, _, _ = gen_diffusion(20)
+        b = np.ones((20, 1))
+        runs = {}
+        for growth in (1.0, 4.0):
+            opts = SolverOptions(tol=1e-14, expand_m=3, rng_seed=0,
+                                 max_iters=200, restart_tol_growth=growth)
+            runs[growth] = solve(LyapunovProblem(a, None, b), opts)
+        stuck, grown = runs[1.0][1], runs[4.0][1]
+        assert (stuck.termination_reason, stuck.iterations) == ("stagnated", 9)
+        assert (grown.termination_reason, grown.iterations) == ("converged", 22)
+        assert grown.converged
+        assert _dense_error(runs[4.0][0], a, None, b) < 1e-10
+
+
+class TestSpaceCap:
+    def test_cap_stops_with_the_current_iterate(self, monkeypatch):
+        monkeypatch.setattr(rails.solver, "DIMENSION_CAP", 10)
+        a, _, _ = gen_diffusion(200)
+        sol, report = solve(LyapunovProblem(a, None, np.ones((200, 1))),
+                            SolverOptions(tol=1e-12))
+        assert report.termination_reason == "space_cap"
+        assert not report.converged
+        assert 0 < sol.rank <= report.max_space_dim <= 10
+
+
 class TestSolveDae:
     def test_two_var_closed_form(self):
         a = _csr([[1.0, 0.0], [0.0, -1.0]])
@@ -498,7 +526,8 @@ class TestSolveDae:
         assert err < 1e-6
 
     def test_pass_through_bitwise_equal_to_plain_solve(self):
-        # Identity mass must not route through the constraint machinery.
+        # With no algebraic rows the DaeSystem is the operator (S is A);
+        # that route must stay bitwise equal to a plain solve.
         a, _, _ = gen_diffusion(30)
         m = sparse.identity(30, format="csr")
         b = np.eye(30)[:, :2]
