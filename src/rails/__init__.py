@@ -44,13 +44,7 @@ from .errors import (
     StabilityError,
 )
 from .lowrank import LowRankSolution
-from .matrices import (
-    LanczosResult,
-    lanczos_topk,
-    orthonormalize,
-    sparse_apply,
-    sparse_from_triplets,
-)
+from .matrices import LanczosResult, lanczos_topk, orthonormalize
 from .mmio import (
     load_dense,
     load_solution,
@@ -107,8 +101,6 @@ __all__ = [
     "LanczosResult",
     "lanczos_topk",
     "orthonormalize",
-    "sparse_apply",
-    "sparse_from_triplets",
     "load_dense",
     "load_solution",
     "load_sparse",

@@ -21,7 +21,6 @@ __all__ = [
     "sample_stationary",
     "write_eof_csv",
     "write_eigenvalue_csv",
-    "read_eof_csv",
 ]
 
 _SUPPORT_TOL = 1e-8
@@ -135,14 +134,6 @@ def write_eof_csv(path, eof_set):
         writer.writerow([f"{v:.16e}" for v in eof_set.eigenvalues])
         for row in eof_set.vectors:
             writer.writerow([f"{v:.16e}" for v in row])
-
-
-def read_eof_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    eigenvalues = np.array([float(v) for v in rows[0]])
-    vectors = np.array([[float(v) for v in row] for row in rows[1:]])
-    return eigenvalues, vectors
 
 
 def write_eigenvalue_csv(path, sol):

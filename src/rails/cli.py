@@ -24,7 +24,6 @@ import sys
 
 import numpy as np
 
-from . import _apply_thread_cap  # noqa: F401  (runs on package import)
 from . import __version__, mmio, solver, testproblems
 from .analysis import eofs, write_eigenvalue_csv, write_eof_csv
 from .dae import partition

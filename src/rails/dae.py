@@ -25,7 +25,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .lowrank import LowRankSolution
-from .matrices import as_matrix, check_sparse, sparse_apply
+from .matrices import as_matrix, check_sparse
 
 __all__ = ["DaeSystem", "partition", "schur_apply", "recover_full_covariance"]
 
@@ -35,8 +35,9 @@ class DaeSystem:
     operator S the solver iterates on.
 
     Attributes of interest: ``algebraic_rows`` / ``differential_rows``
-    (index arrays into the original ordering), the four A blocks, ``m22``,
-    ``b2``, and ``a11_lu`` (sparse LU of A11, None in pass-through mode).
+    (index arrays into the original ordering), the four A blocks, ``m22``
+    and ``m22_is_identity``, ``b2``, and ``a11_lu`` (sparse LU of A11, None
+    in pass-through mode).
     ``apply`` and ``solve`` act with S and S^{-1} on vectors of length
     ``n_differential``.
     """
@@ -61,12 +62,17 @@ class DaeSystem:
                     f"constraint block A11 ({alg.size} x {alg.size}) could not be "
                     f"factorized: {exc}"
                 ) from exc
-        try:
-            self.m22_lu = spla.splu(self.m22.tocsc()) if diff.size else None
-        except RuntimeError as exc:
-            raise SingularMatrixError(
-                f"differential mass block M22 is singular: {exc}"
-            ) from exc
+        self.m22_is_identity = bool(
+            np.all(self.m22.diagonal() == 1.0)
+            and self.m22.count_nonzero() == diff.size
+        )
+        if not self.m22_is_identity:
+            try:
+                spla.splu(self.m22.tocsc())
+            except RuntimeError as exc:
+                raise SingularMatrixError(
+                    f"differential mass block M22 is singular: {exc}"
+                ) from exc
         self._a_full_lu = None
 
     @property
@@ -84,10 +90,9 @@ class DaeSystem:
     def is_pass_through(self):
         return self.n_algebraic == 0
 
-    def solve_a11(self, x, transpose=False):
-        """A11^{-1} x (or A11^{-T} x) for a vector or the columns of a matrix."""
-        x = np.asarray(x, dtype=np.float64)
-        return self.a11_lu.solve(x, trans="T" if transpose else "N")
+    def solve_a11(self, x):
+        """A11^{-1} x for a vector or the columns of a matrix."""
+        return self.a11_lu.solve(np.asarray(x, dtype=np.float64))
 
     @property
     def apply_cost(self):
@@ -96,9 +101,9 @@ class DaeSystem:
         per column."""
         return (1, 0) if self.is_pass_through() else (3, 1)
 
-    def apply(self, x, transpose=False):
-        """S x (or S' x) through ``schur_apply``."""
-        return schur_apply(self, x, transpose=transpose)
+    def apply(self, x):
+        """S x through ``schur_apply``."""
+        return schur_apply(self, x)
 
     def solve(self, x):
         """S^{-1} x for a vector or the columns of a matrix, through a
@@ -125,7 +130,8 @@ def partition(a, m, b):
     Rows of M with no nonzero entry are algebraic. B must vanish on those
     rows: white noise cannot force a constraint. With no algebraic rows the
     returned system is a pass-through: S is A and no A11 factorization
-    happens.
+    happens. A singular M22 raises ``SingularMatrixError`` (the simulation
+    oracle solves with it); an identity M22 is recognized and not factored.
     """
     a = check_sparse(a)
     m = check_sparse(m)
@@ -152,22 +158,16 @@ def partition(a, m, b):
     return DaeSystem(a, m, b, algebraic, differential)
 
 
-def schur_apply(sys, x, transpose=False):
-    """Apply S = A22 - A21 A11^{-1} A12 (or S') to the columns of x.
+def schur_apply(sys, x):
+    """Apply S = A22 - A21 A11^{-1} A12 to the columns of x.
 
-    One multiply each with A22, A12 (A21' if transposed) and A21, plus one
-    sparse solve with A11, per column (``DaeSystem.apply_cost``). In
-    pass-through mode S is just A.
+    One multiply each with A22, A12 and A21, plus one sparse solve with
+    A11, per column (``DaeSystem.apply_cost``). In pass-through mode S is
+    just A.
     """
     if sys.is_pass_through():
-        return sparse_apply(sys.a22, x, transpose=transpose)
-    if not transpose:
-        y = sparse_apply(sys.a22, x)
-        z = sys.solve_a11(sparse_apply(sys.a12, x))
-        return y - sparse_apply(sys.a21, z)
-    y = sparse_apply(sys.a22, x, transpose=True)
-    z = sys.solve_a11(sparse_apply(sys.a21, x, transpose=True), transpose=True)
-    return y - sparse_apply(sys.a12, z, transpose=True)
+        return sys.a22 @ x
+    return sys.a22 @ x - sys.a21 @ sys.solve_a11(sys.a12 @ x)
 
 
 def recover_full_covariance(sys, sol):
@@ -190,7 +190,7 @@ def recover_full_covariance(sys, sol):
             f"solution lives on {v.shape[0]} rows, expected the "
             f"{sys.n_differential} differential rows"
         )
-    top = -sys.solve_a11(sparse_apply(sys.a12, v))
+    top = -sys.solve_a11(sys.a12 @ v)
     w = np.zeros((sys.dimension, sol.rank))
     w[sys.algebraic_rows, :] = top
     w[sys.differential_rows, :] = v

@@ -43,10 +43,3 @@ class LowRankSolution:
             return np.zeros((self.dimension, self.dimension))
         c = self.v @ self.t @ self.v.T
         return 0.5 * (c + c.T)
-
-    def apply(self, x):
-        """C @ x without forming C."""
-        x = np.asarray(x, dtype=np.float64)
-        if self.rank == 0:
-            return np.zeros_like(x)
-        return self.v @ (self.t @ (self.v.T @ x))

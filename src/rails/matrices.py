@@ -1,8 +1,8 @@
-"""Shared matrix kernels: validated constructors, checked sparse products,
-block Gram-Schmidt with deflation, and a Lanczos eigensolver for symmetric
-operators given as anything ``scipy.sparse.linalg.aslinearoperator``
-accepts. Both orthogonalize through one helper that projects a vector off
-orthonormal blocks, twice.
+"""Shared matrix kernels: input validation, block Gram-Schmidt with
+deflation, and a Lanczos eigensolver for symmetric operators given as
+anything ``scipy.sparse.linalg.aslinearoperator`` accepts. Both
+orthogonalize through one helper that projects a vector off orthonormal
+blocks, twice.
 
 The kernels keep no state. Products and solves are counted per solve by
 ``rails.solver.LyapunovProblem``, the object the solver applies them
@@ -17,37 +17,12 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import aslinearoperator
 
 __all__ = [
-    "sparse_from_triplets",
     "check_sparse",
     "as_matrix",
-    "sparse_apply",
     "orthonormalize",
     "LanczosResult",
     "lanczos_topk",
 ]
-
-
-def sparse_from_triplets(rows, cols, values, shape):
-    """Build a validated CSR matrix from triplet data.
-
-    Duplicate (row, col) pairs are summed, indices are checked against
-    ``shape`` and values must be finite.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if not (rows.shape == cols.shape == values.shape):
-        raise ValueError("triplet arrays must have matching lengths")
-    n_rows, n_cols = int(shape[0]), int(shape[1])
-    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
-        raise ValueError("row index out of range")
-    if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
-        raise ValueError("column index out of range")
-    if values.size and not np.all(np.isfinite(values)):
-        raise ValueError("matrix values must be finite")
-    a = sparse.coo_matrix((values, (rows, cols)), shape=(n_rows, n_cols))
-    a.sum_duplicates()
-    return a.tocsr()
 
 
 def check_sparse(a):
@@ -68,30 +43,6 @@ def as_matrix(a):
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError("matrix values must be finite")
     return m
-
-
-def sparse_apply(a, x, transpose=False):
-    """Product A @ X (or A.T @ X) with a dimension check.
-
-    Parameters
-    ----------
-    a : scipy.sparse matrix
-    x : ndarray, shape (n,) or (n, k)
-    transpose : bool
-        Apply A.T instead of A.
-
-    Returns
-    -------
-    ndarray, a vector for a vector ``x`` and a matrix with as many
-    columns as ``x`` otherwise.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    op = a.T if transpose else a
-    if op.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: operator is {op.shape}, operand has {x.shape[0]} rows"
-        )
-    return np.asarray(op @ x)
 
 
 # relative norm below which orthonormalize drops a column as dependent

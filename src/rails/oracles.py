@@ -223,16 +223,12 @@ def euler_maruyama_covariance(sys, cfg):
     return empirical_covariance(samples[:kept]), kept
 
 
-def empirical_covariance(samples, mean_removed=False):
-    """Unbiased sample covariance of row-wise samples (divisor N - 1).
-
-    With ``mean_removed`` the rows are taken as already centered and the
-    sample mean is not subtracted.
-    """
+def empirical_covariance(samples):
+    """Unbiased sample covariance of row-wise samples (divisor N - 1)."""
     samples = as_matrix(samples)
     n = samples.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples")
-    x = samples if mean_removed else samples - samples.mean(axis=0)
+    x = samples - samples.mean(axis=0)
     c = x.T @ x / (n - 1)
     return 0.5 * (c + c.T)

@@ -25,14 +25,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .dae import DaeSystem, partition, recover_full_covariance
 from .dense_lyap import DIMENSION_CAP, ProjectedSystem, solve_projected
 from .errors import SingularMatrixError
 from .lowrank import LowRankSolution
-from .matrices import as_matrix, check_sparse, lanczos_topk, orthonormalize, sparse_apply
+from .matrices import as_matrix, check_sparse, lanczos_topk, orthonormalize
 
 __all__ = [
     "LyapunovProblem",
@@ -112,21 +111,21 @@ class LyapunovProblem:
         self.mvps += mvps * columns
         self.imvps += imvps * columns
 
-    def apply_a(self, x, transpose=False):
+    def apply_a(self, x):
         if self._a_op is not None:
-            y = self._a_op.apply(x, transpose=transpose)
+            y = self._a_op.apply(x)
             self._count(x, *self._a_op.apply_cost)
             return y
-        y = sparse_apply(self._a_mat, x, transpose=transpose)
+        y = self._a_mat @ x
         self._count(x, 1, 0)
         return y
 
-    def apply_m(self, x, transpose=False):
-        """M x (or M' x). With an identity mass this is ``x`` itself, not a
-        copy: callers must not write into the result."""
+    def apply_m(self, x):
+        """M x. With an identity mass this is ``x`` itself, not a copy:
+        callers must not write into the result."""
         if self._m_mat is None:
             return np.asarray(x, dtype=np.float64)
-        y = sparse_apply(self._m_mat, x, transpose=transpose)
+        y = self._m_mat @ x
         self._count(x, 1, 0)
         return y
 
@@ -386,9 +385,9 @@ def _initial_space(problem, opts):
 def solve(problem, opts=None, callback=None):
     """Run the iteration until the relative residual passes ``opts.tol``
     twice (with a rank-trimming restart between the two passes), the sweep
-    budget runs out, the space stagnates, or growing it would pass
-    ``DIMENSION_CAP`` (termination "space_cap"; the current iterate is
-    returned).
+    budget runs out, the space stagnates, or the space, initial or grown,
+    would pass ``DIMENSION_CAP`` (termination "space_cap"; the current
+    iterate is returned, of rank 0 if the initial space alone passes).
 
     Parameters
     ----------
@@ -411,8 +410,7 @@ def solve(problem, opts=None, callback=None):
     mvps0, imvps0 = problem.mvps, problem.imvps
     report = SolveReport()
     state = _State(problem)
-    state.extend(_initial_space(problem, opts))
-    report.max_space_dim = state.dim
+    q = _initial_space(problem, opts)
 
     bb_floor = max(np.linalg.norm(problem.b, 2) ** 2, np.finfo(float).tiny)
     restart_tol = opts.restart_tol
@@ -423,6 +421,12 @@ def solve(problem, opts=None, callback=None):
     conv_now = False
 
     for it in range(1, opts.max_iters + 1):
+        if state.dim + q.shape[1] > DIMENSION_CAP:
+            termination = "space_cap"
+            break
+        state.extend(q)
+        report.max_space_dim = max(report.max_space_dim, state.dim)
+
         t = solve_projected(ProjectedSystem(state.at, state.mt, state.bt))
         est = _lanczos_residual(
             state.av, state.mv, t, problem.b, opts.expand_m,
@@ -462,11 +466,6 @@ def solve(problem, opts=None, callback=None):
                 continue
             termination = "stagnated"
             break
-        if state.dim + kept > DIMENSION_CAP:
-            termination = "space_cap"
-            break
-        state.extend(q)
-        report.max_space_dim = max(report.max_space_dim, state.dim)
 
     # trim nonpositive and rounding-level modes so the returned core is PD
     # on its range; this perturbs C at rounding level only
@@ -487,15 +486,14 @@ def solve(problem, opts=None, callback=None):
 def solve_dae(a, m, b, opts=None, callback=None):
     """Partition a DAE pencil, solve the reduced problem, lift the result.
 
-    An identity M22 is passed as None (free applications). With algebraic
-    rows the report counts the recovery too: one A12 product and one A11
-    solve per column of the reduced basis. With none, S is A and the
-    reduced solution is the answer.
+    An identity M22 (``DaeSystem.m22_is_identity``) is passed as None
+    (free applications). With algebraic rows the report counts the
+    recovery too: one A12 product and one A11 solve per column of the
+    reduced basis. With none, S is A and the reduced solution is the
+    answer.
     """
     sys = partition(a, m, b)
-    mass = sys.m22
-    if (mass != sparse.identity(sys.n_differential, format="csr")).nnz == 0:
-        mass = None
+    mass = None if sys.m22_is_identity else sys.m22
     sol, report = solve(LyapunovProblem(sys, mass, sys.b2), opts, callback=callback)
     if sys.is_pass_through():
         return sol, report

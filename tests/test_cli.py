@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sparse
 
 import rails.solver
-from rails import cli, errors, mmio
+from rails import cli, errors, mmio, testproblems
 from rails.cli import main
 
 
@@ -137,6 +137,23 @@ class TestSolve:
         report = json.loads((solution / "report.json").read_text())
         assert report["termination_reason"] == "space_cap"
         assert 0 < report["final_rank"] <= report["max_space_dim"] <= 10
+
+    def test_initial_space_past_the_cap_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rails.solver, "DIMENSION_CAP", 10)
+        a, m, _ = testproblems.gen_diffusion(200)
+        mmio.save_sparse(tmp_path / "A.mtx", a)
+        mmio.save_sparse(tmp_path / "M.mtx", m)
+        mmio.save_dense(tmp_path / "B.mtx", np.eye(200)[:, :11])
+        solution = tmp_path / "solution"
+        code = _run(
+            "solve", "--a", str(tmp_path / "A.mtx"), "--m",
+            str(tmp_path / "M.mtx"), "--b", str(tmp_path / "B.mtx"),
+            "--initial-space", "b", "--out", str(solution),
+        )
+        assert code == 1
+        report = json.loads((solution / "report.json").read_text())
+        assert report["termination_reason"] == "space_cap"
+        assert report["final_rank"] == report["max_space_dim"] == 0
 
     def test_missing_input_is_io_error(self, tmp_path):
         code = _run(
@@ -312,7 +329,7 @@ class TestExitCodes:
 
 class TestEnvironment:
     def test_thread_cap_sets_blas_vars(self, monkeypatch):
-        from rails.cli import _apply_thread_cap
+        from rails import _apply_thread_cap
 
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
@@ -324,7 +341,7 @@ class TestEnvironment:
         assert os.environ["MKL_NUM_THREADS"] == "2"
 
     def test_existing_setting_wins(self, monkeypatch):
-        from rails.cli import _apply_thread_cap
+        from rails import _apply_thread_cap
 
         monkeypatch.setenv("OMP_NUM_THREADS", "8")
         monkeypatch.setenv("RAILS_THREADS", "2")

@@ -3,7 +3,11 @@ import pytest
 import scipy.sparse as sparse
 
 from rails.dae import partition, recover_full_covariance, schur_apply
-from rails.errors import ForcingOnConstraintError, ReductionImpossibleError
+from rails.errors import (
+    ForcingOnConstraintError,
+    ReductionImpossibleError,
+    SingularMatrixError,
+)
 from rails.lowrank import LowRankSolution
 from rails.testproblems import gen_dae, gen_forcing
 
@@ -61,6 +65,21 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition(TWO_VAR_A, _csr(np.zeros((3, 3))), TWO_VAR_B)
 
+    def test_singular_m22_rejected(self):
+        # Rows 1 and 2 of M are nonzero, so both are differential, but
+        # M22 = [[1, 1], [1, 1]] is singular.
+        a = _csr(np.diag([2.0, -1.0, -1.0]))
+        m = _csr([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(SingularMatrixError):
+            partition(a, m, np.array([[0.0], [1.0], [0.0]]))
+
+    def test_m22_identity_flag(self):
+        a, m, sites = gen_dae(12, 4, rng_seed=1)
+        assert partition(a, m, np.zeros((16, 1))).m22_is_identity
+        a = _csr([[-2.0, 1.0], [0.0, -1.0]])
+        m = 2.0 * sparse.identity(2, format="csr")
+        assert not partition(a, m, np.ones((2, 1))).m22_is_identity
+
 
 class TestSchurApply:
     def test_hand_solved_complement(self):
@@ -88,20 +107,6 @@ class TestSchurApply:
         )
         x = rng.standard_normal((20, 3))
         assert np.allclose(schur_apply(sys, x), s_dense @ x, atol=1e-10)
-        assert np.allclose(
-            schur_apply(sys, x, transpose=True), s_dense.T @ x, atol=1e-10
-        )
-
-    def test_transpose_consistency(self):
-        # x . (S y) == (S^T x) . y for any x, y.
-        rng = np.random.default_rng(3)
-        a, m, sites = gen_dae(15, 5, rng_seed=3)
-        sys = partition(a, m, np.zeros((20, 0)))
-        x = rng.standard_normal(15)
-        y = rng.standard_normal(15)
-        assert abs(
-            x @ schur_apply(sys, y) - schur_apply(sys, x, transpose=True) @ y
-        ) < 1e-10
 
 
 class TestSchurOperator:

@@ -13,22 +13,10 @@ def test_dense_reconstruction():
     assert np.array_equal(sol.to_dense(), np.diag([2.0, 1.0, 0.0]))
 
 
-def test_apply_matches_dense():
-    rng = np.random.default_rng(0)
-    v = np.linalg.qr(rng.standard_normal((10, 4)))[0]
-    w = rng.standard_normal((4, 4))
-    sol = LowRankSolution(v, w @ w.T)
-    x = rng.standard_normal((10, 3))
-    assert np.allclose(sol.apply(x), sol.to_dense() @ x, atol=1e-12)
-    y = rng.standard_normal(10)
-    assert np.allclose(sol.apply(y), sol.to_dense() @ y, atol=1e-12)
-
-
 def test_zero_rank():
     sol = LowRankSolution(np.zeros((5, 0)), np.zeros((0, 0)))
     assert sol.rank == 0
     assert np.array_equal(sol.to_dense(), np.zeros((5, 5)))
-    assert np.array_equal(sol.apply(np.ones(5)), np.zeros(5))
 
 
 def test_core_symmetrized():

@@ -1,69 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sparse
 from scipy.sparse.linalg import LinearOperator
 
-from rails.matrices import (
-    lanczos_topk,
-    orthonormalize,
-    sparse_apply,
-    sparse_from_triplets,
-)
-
-
-class TestSparseFromTriplets:
-    def test_basic(self):
-        a = sparse_from_triplets([0, 1], [0, 2], [2.0, -1.0], (3, 3))
-        dense = a.toarray()
-        expected = np.zeros((3, 3))
-        expected[0, 0] = 2.0
-        expected[1, 2] = -1.0
-        assert np.array_equal(dense, expected)
-        assert sparse.issparse(a)
-
-    def test_duplicates_summed(self):
-        a = sparse_from_triplets([0, 0], [0, 0], [1.0, 2.5], (2, 2))
-        assert a[0, 0] == 3.5
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            sparse_from_triplets([2], [0], [1.0], (2, 2))
-        with pytest.raises(ValueError):
-            sparse_from_triplets([0], [-1], [1.0], (2, 2))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            sparse_from_triplets([0], [0], [np.nan], (2, 2))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            sparse_from_triplets([0, 1], [0], [1.0], (2, 2))
-
-
-class TestSparseApply:
-    def test_identity(self):
-        eye = sparse.identity(4, format="csr")
-        x = np.arange(4.0).reshape(4, 1)
-        assert np.array_equal(sparse_apply(eye, x), x)
-
-    def test_shift_matrix(self):
-        s = sparse_from_triplets([0], [1], [1.0], (2, 2))
-        e2 = np.array([[0.0], [1.0]])
-        assert np.array_equal(sparse_apply(s, e2), np.array([[1.0], [0.0]]))
-
-    def test_transpose(self):
-        s = sparse_from_triplets([0], [1], [1.0], (2, 2))
-        e1 = np.array([[1.0], [0.0]])
-        assert np.array_equal(
-            sparse_apply(s, e1, transpose=True), np.array([[0.0], [1.0]])
-        )
-
-    def test_matches_dense(self):
-        rng = np.random.default_rng(0)
-        a = sparse.random(30, 30, density=0.2, random_state=rng, format="csr")
-        x = rng.standard_normal((30, 4))
-        assert np.allclose(sparse_apply(a, x), a.toarray() @ x, atol=1e-13)
+from rails.matrices import lanczos_topk, orthonormalize
 
 
 class TestOrthonormalize:

@@ -223,14 +223,6 @@ class TestEmpiricalCovariance:
         samples = np.tile(np.array([3.0, -1.0]), (5, 1))
         assert np.allclose(empirical_covariance(samples), 0.0, atol=1e-14)
 
-    def test_mean_removed_flag(self):
-        rng = np.random.default_rng(0)
-        samples = rng.standard_normal((200, 3)) + 5.0
-        raw = empirical_covariance(samples, mean_removed=True)
-        centered = empirical_covariance(samples)
-        # Skipping mean removal on shifted data inflates the diagonal.
-        assert np.trace(raw) > np.trace(centered)
-
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             empirical_covariance(np.ones((1, 4)))

@@ -7,7 +7,7 @@ import scipy.sparse as sparse
 from rails.dae import partition
 from rails.errors import ForcingOnConstraintError
 from rails.lowrank import LowRankSolution
-from rails.matrices import orthonormalize, sparse_apply
+from rails.matrices import orthonormalize
 from rails.oracles import kron_solve, kron_solve_dae, residual_matrix
 import rails.solver
 from rails.solver import (
@@ -388,7 +388,7 @@ class TestOperationCounts:
         _, plain = solve_dae(a, m, b, opts)
         _, busy = solve_dae(
             a, m, b, opts,
-            callback=lambda it, rho, dim: sparse_apply(other, np.ones((10, 5))),
+            callback=lambda it, rho, dim: other @ np.ones((10, 5)),
         )
         assert plain.mvp_count > 0
         assert (busy.mvp_count, busy.imvp_count) == (
@@ -504,6 +504,19 @@ class TestSpaceCap:
         assert report.termination_reason == "space_cap"
         assert not report.converged
         assert 0 < sol.rank <= report.max_space_dim <= 10
+
+    def test_initial_space_past_the_cap(self, monkeypatch):
+        # 11 forcing columns against a cap of 10: the solve stops before
+        # any product with the initial space.
+        monkeypatch.setattr(rails.solver, "DIMENSION_CAP", 10)
+        a, _, _ = gen_diffusion(200)
+        problem = LyapunovProblem(a, None, np.eye(200)[:, :11])
+        sol, report = solve(problem, SolverOptions(initial_space="columns_of_b"))
+        assert report.termination_reason == "space_cap"
+        assert not report.converged
+        assert sol.rank == 0
+        assert report.iterations == report.max_space_dim == 0
+        assert problem.mvps == problem.imvps == 0
 
 
 class TestSolveDae:
