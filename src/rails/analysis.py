@@ -38,8 +38,6 @@ class EofSet:
 
 
 def _core_spectrum(sol):
-    if sol.rank == 0:
-        return np.zeros(0), np.zeros((sol.dimension, 0))
     lam, u = np.linalg.eigh(sol.t)
     lam = lam[::-1]
     u = u[:, ::-1]
@@ -88,8 +86,8 @@ def gaussian_logpdf(x, x_star, sol):
     if x.shape != (sol.dimension,) or x_star.shape != (sol.dimension,):
         raise ValueError("x and x_star must be vectors of the problem dimension")
     delta = x - x_star
-    y = sol.v.T @ delta if sol.rank else np.zeros(0)
-    off = delta - (sol.v @ y if sol.rank else 0.0)
+    y = sol.v.T @ delta
+    off = delta - sol.v @ y
     dist = np.linalg.norm(delta)
     if dist > 0 and np.linalg.norm(off) > _SUPPORT_TOL * dist:
         return -np.inf
@@ -119,8 +117,6 @@ def sample_stationary(sol, x_star, count, rng_seed=0):
     if x_star.shape != (sol.dimension,):
         raise ValueError("x_star must be a vector of the problem dimension")
     rng = np.random.default_rng(rng_seed)
-    if sol.rank == 0:
-        return np.tile(x_star, (count, 1))
     lam, u = np.linalg.eigh(sol.t)
     root = u * np.sqrt(np.maximum(lam, 0.0))
     z = rng.standard_normal((sol.rank, count))

@@ -8,8 +8,8 @@ writes files also writes a manifest.json capturing inputs, options and
 outputs, and all randomness is seeded, so reruns are byte-identical.
 
 Exit codes: 0 success, 1 non-convergence or failed validation, 2 usage or
-malformed input, 3 I/O failure, 4 structural solver error, 5 oracle asked
-beyond its size cap.
+malformed input, 3 I/O failure, 4 structural solver error or numerical
+breakdown, 5 oracle asked beyond its size cap.
 
 The RAILS_THREADS environment variable caps BLAS threading (default: all
 cores). The package ``__init__`` applies it on import, before numpy loads,
@@ -323,7 +323,9 @@ def main(argv=None):
     except OracleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE_SCALE
-    except RailsError as exc:
+    except (RailsError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError: a numerical breakdown is not
+        # a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
     except ValueError as exc:

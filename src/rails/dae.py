@@ -36,10 +36,10 @@ class DaeSystem:
 
     Attributes of interest: ``algebraic_rows`` / ``differential_rows``
     (index arrays into the original ordering), the four A blocks, ``m22``
-    and ``m22_is_identity``, ``b2``, and ``a11_lu`` (sparse LU of A11, None
-    in pass-through mode).
+    and ``m22_is_identity``, ``b2``, and ``a11_lu`` (sparse LU of A11).
     ``apply`` and ``solve`` act with S and S^{-1} on vectors of length
-    ``n_differential``.
+    ``n_differential``. A pencil without algebraic rows is the same
+    reduction with an empty (0 x 0) A11, so S is A.
     """
 
     def __init__(self, a, m, b, algebraic_rows, differential_rows):
@@ -53,15 +53,13 @@ class DaeSystem:
         self.a22 = a[diff][:, diff].tocsr()
         self.m22 = m[diff][:, diff].tocsr()
         self.b2 = as_matrix(b[diff, :])
-        self.a11_lu = None
-        if alg.size:
-            try:
-                self.a11_lu = spla.splu(self.a11.tocsc())
-            except RuntimeError as exc:
-                raise ReductionImpossibleError(
-                    f"constraint block A11 ({alg.size} x {alg.size}) could not be "
-                    f"factorized: {exc}"
-                ) from exc
+        try:
+            self.a11_lu = spla.splu(self.a11.tocsc())
+        except RuntimeError as exc:
+            raise ReductionImpossibleError(
+                f"constraint block A11 ({alg.size} x {alg.size}) could not be "
+                f"factorized: {exc}"
+            ) from exc
         self.m22_is_identity = bool(
             np.all(self.m22.diagonal() == 1.0)
             and self.m22.count_nonzero() == diff.size
@@ -117,8 +115,6 @@ class DaeSystem:
                     f"full operator A is singular, inverse products unavailable: {exc}"
                 ) from exc
         x = np.asarray(x, dtype=np.float64)
-        if self.is_pass_through():
-            return self._a_full_lu.solve(x)
         rhs = np.zeros((self.dimension,) + x.shape[1:])
         rhs[self.differential_rows] = x
         return self._a_full_lu.solve(rhs)[self.differential_rows]
@@ -128,10 +124,10 @@ def partition(a, m, b):
     """Split (A, M, B) into algebraic and differential parts.
 
     Rows of M with no nonzero entry are algebraic. B must vanish on those
-    rows: white noise cannot force a constraint. With no algebraic rows the
-    returned system is a pass-through: S is A and no A11 factorization
-    happens. A singular M22 raises ``SingularMatrixError`` (the simulation
-    oracle solves with it); an identity M22 is recognized and not factored.
+    rows: white noise cannot force a constraint. With no algebraic rows A11
+    is empty and S is A. A singular M22 raises ``SingularMatrixError``
+    (the simulation oracle solves with it); an identity M22 is recognized
+    and not factored.
     """
     a = check_sparse(a)
     m = check_sparse(m)
@@ -143,18 +139,16 @@ def partition(a, m, b):
         raise ValueError(f"B has {b.shape[0]} rows, expected {n}")
     row_max = np.zeros(n)
     mco = m.tocoo()
-    if mco.nnz:
-        np.maximum.at(row_max, mco.row, np.abs(mco.data))
+    np.maximum.at(row_max, mco.row, np.abs(mco.data))
     algebraic = np.flatnonzero(row_max == 0.0)
     differential = np.flatnonzero(row_max > 0.0)
-    if algebraic.size:
-        bad = np.abs(b[algebraic, :]).max(initial=0.0)
-        if bad > 0.0:
-            rows = algebraic[np.abs(b[algebraic, :]).max(axis=1) > 0.0]
-            raise ForcingOnConstraintError(
-                f"B has entries of magnitude up to {bad:.3e} on algebraic "
-                f"rows {rows[:5].tolist()}; noise cannot act on constraints"
-            )
+    bad = np.abs(b[algebraic, :]).max(initial=0.0)
+    if bad > 0.0:
+        rows = algebraic[np.abs(b[algebraic, :]).max(axis=1) > 0.0]
+        raise ForcingOnConstraintError(
+            f"B has entries of magnitude up to {bad:.3e} on algebraic "
+            f"rows {rows[:5].tolist()}; noise cannot act on constraints"
+        )
     return DaeSystem(a, m, b, algebraic, differential)
 
 
@@ -162,11 +156,9 @@ def schur_apply(sys, x):
     """Apply S = A22 - A21 A11^{-1} A12 to the columns of x.
 
     One multiply each with A22, A12 and A21, plus one sparse solve with
-    A11, per column (``DaeSystem.apply_cost``). In pass-through mode S is
-    just A.
+    A11, per column (``DaeSystem.apply_cost``). With no algebraic rows the
+    A11 terms are empty, S x is A x, and ``apply_cost`` counts one product.
     """
-    if sys.is_pass_through():
-        return sys.a22 @ x
     return sys.a22 @ x - sys.a21 @ sys.solve_a11(sys.a12 @ x)
 
 
@@ -180,10 +172,6 @@ def recover_full_covariance(sys, sol):
     """
     if sys.is_pass_through():
         return sol
-    if sol.rank == 0:
-        return LowRankSolution(
-            np.zeros((sys.dimension, 0)), np.zeros((0, 0))
-        )
     v = sol.v
     if v.shape[0] != sys.n_differential:
         raise ValueError(

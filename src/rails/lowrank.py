@@ -11,8 +11,10 @@ class LowRankSolution:
     """Holds an orthonormal basis ``v`` (n x d) and a small symmetric core
     ``t`` (d x d) representing C = v @ t @ v.T without ever forming C.
 
-    The basis columns are expected orthonormal and ``t`` symmetric; both
-    are cheap invariants that the constructor checks up to roundoff.
+    The basis columns are expected orthonormal and ``t`` symmetric. The
+    constructor checks only the symmetry of ``t``, up to roundoff, and
+    stores its symmetric part; orthonormality of ``v`` is the caller's
+    promise (checking it would cost O(n d^2)).
     """
 
     def __init__(self, v, t):
@@ -24,10 +26,10 @@ class LowRankSolution:
             raise ValueError(
                 f"basis has {v.shape[1]} columns but core is {t.shape[0]} x {t.shape[0]}"
             )
-        if t.size and not np.allclose(t, t.T, atol=1e-8 * max(1.0, np.abs(t).max())):
+        if not np.allclose(t, t.T, atol=1e-8 * max(1.0, np.abs(t).max(initial=0.0))):
             raise ValueError("core matrix must be symmetric")
         self.v = v
-        self.t = 0.5 * (t + t.T) if t.size else t
+        self.t = 0.5 * (t + t.T)
 
     @property
     def dimension(self):
@@ -39,7 +41,5 @@ class LowRankSolution:
 
     def to_dense(self):
         """Materialize C (only sensible at small n)."""
-        if self.rank == 0:
-            return np.zeros((self.dimension, self.dimension))
         c = self.v @ self.t @ self.v.T
         return 0.5 * (c + c.T)

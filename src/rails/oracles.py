@@ -1,10 +1,13 @@
 """Independent verification oracles.
 
 Everything here solves the same equations as the production path by a
-method that shares no code with it: Kronecker vectorization with a dense
-LU, dense block recovery, and a stochastic Euler-Maruyama integrator whose
-sample covariance estimates the stationary covariance directly. These are
-deliberately brute force and size-capped.
+different method: Kronecker vectorization with a dense LU, dense block
+recovery, and a stochastic Euler-Maruyama integrator whose sample
+covariance estimates the stationary covariance directly. The first two
+share no code with the solver. The integrator takes ``partition``'s
+``DaeSystem`` and forms its drift through ``schur_apply``, so it checks
+the iteration and the recovery but not the Schur complement itself.
+These are deliberately brute force and size-capped.
 """
 
 import warnings
@@ -111,8 +114,6 @@ def kron_solve_dae(a, m, b, size_cap=KRON_SIZE_CAP):
             f"vectorization oracle is capped at {size_cap} differential "
             f"variables, got {diff.size}"
         )
-    if alg.size == 0:
-        return kron_solve(a, m, b, size_cap=size_cap)
     a11 = a[np.ix_(alg, alg)]
     a12 = a[np.ix_(alg, diff)]
     a21 = a[np.ix_(diff, alg)]

@@ -255,12 +255,8 @@ def residual_norm_and_vectors(problem, sol, m):
     """
     if sol.dimension != problem.dimension:
         raise ValueError("solution and problem dimensions differ")
-    if sol.rank:
-        av = problem.apply_a(sol.v)
-        mv = problem.apply_m(sol.v)
-    else:
-        av = np.zeros((problem.dimension, 0))
-        mv = np.zeros((problem.dimension, 0))
+    av = problem.apply_a(sol.v)
+    mv = problem.apply_m(sol.v)
     return _lanczos_residual(av, mv, sol.t, problem.b, m, 0)
 
 
@@ -470,10 +466,9 @@ def solve(problem, opts=None, callback=None):
     # trim nonpositive and rounding-level modes so the returned core is PD
     # on its range; this perturbs C at rounding level only
     sol = LowRankSolution(state.v, t)
-    if sol.rank:
-        lam, u = _eigen_trim(sol.t, 0.0)
-        if lam.size < sol.rank:
-            sol = LowRankSolution(sol.v @ u, np.diag(lam))
+    lam, u = _eigen_trim(sol.t, 0.0)
+    if lam.size < sol.rank:
+        sol = LowRankSolution(sol.v @ u, np.diag(lam))
 
     report.converged = bool(conv_now)
     report.termination_reason = termination

@@ -313,7 +313,8 @@ _RAILS_ERRORS = sorted(
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("error", _RAILS_ERRORS, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("error", _RAILS_ERRORS + [np.linalg.LinAlgError],
+                             ids=lambda c: c.__name__)
     def test_rails_errors_map_to_their_exit_code(self, error, tmp_path,
                                                  monkeypatch, capsys):
         exc = error(3, 1e13) if error is errors.SimulationBlowupError else error("boom")

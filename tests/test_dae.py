@@ -183,3 +183,13 @@ class TestRecovery:
         sys = partition(a, sparse.identity(4, format="csr"), np.ones((4, 1)))
         sol = LowRankSolution(np.eye(4)[:, :2], np.diag([1.0, 2.0]))
         assert recover_full_covariance(sys, sol) is sol
+
+    def test_rank_zero_lifts_to_empty_basis_and_checks_rows(self):
+        sys = partition(TWO_VAR_A, TWO_VAR_M, TWO_VAR_B)
+        full = recover_full_covariance(
+            sys, LowRankSolution(np.zeros((1, 0)), np.zeros((0, 0)))
+        )
+        assert full.v.shape == (2, 0) and full.t.shape == (0, 0)
+        wrong = LowRankSolution(np.zeros((2, 0)), np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="differential rows"):
+            recover_full_covariance(sys, wrong)

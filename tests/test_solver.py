@@ -539,17 +539,21 @@ class TestSolveDae:
         assert err < 1e-6
 
     def test_pass_through_bitwise_equal_to_plain_solve(self):
-        # With no algebraic rows the DaeSystem is the operator (S is A);
-        # that route must stay bitwise equal to a plain solve.
+        # With no algebraic rows the DaeSystem is the operator (S is A) and
+        # its bordered solve is a plain solve with A; both routes must stay
+        # bitwise equal to a plain solve.
         a, _, _ = gen_diffusion(30)
         m = sparse.identity(30, format="csr")
         b = np.eye(30)[:, :2]
-        opts = SolverOptions(tol=1e-8, rng_seed=5)
-        s_dae, r_dae = solve_dae(a, m, b, opts)
-        s_std, r_std = solve(LyapunovProblem(a, None, b), opts)
-        assert np.array_equal(s_dae.v, s_std.v)
-        assert np.array_equal(s_dae.t, s_std.t)
-        assert r_dae.to_json_dict() == r_std.to_json_dict()
+        for variant, initial_space in (("standard", "random"),
+                                       ("inverse", "inverse_applied_to_b")):
+            opts = SolverOptions(tol=1e-8, rng_seed=5, variant=variant,
+                                 initial_space=initial_space)
+            s_dae, r_dae = solve_dae(a, m, b, opts)
+            s_std, r_std = solve(LyapunovProblem(a, None, b), opts)
+            assert np.array_equal(s_dae.v, s_std.v)
+            assert np.array_equal(s_dae.t, s_std.t)
+            assert r_dae.to_json_dict() == r_std.to_json_dict()
 
     def test_inverse_variant_on_constrained_system(self):
         a, m, sites = gen_dae(25, 8, rng_seed=3)
