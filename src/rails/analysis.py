@@ -108,8 +108,8 @@ def gaussian_logpdf(x, x_star, sol):
 def sample_stationary(sol, x_star, count, rng_seed=0):
     """Draw ``count`` samples of N(x_star, V T V'), one per row.
 
-    Uses x_star + V T^{1/2} Z with standard normal Z; rounding-negative
-    core modes are treated as zero.
+    Uses x_star + V T^{1/2} Z with standard normal Z over the core's modes,
+    largest first; a materially negative mode raises, as in ``eofs``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -117,8 +117,8 @@ def sample_stationary(sol, x_star, count, rng_seed=0):
     if x_star.shape != (sol.dimension,):
         raise ValueError("x_star must be a vector of the problem dimension")
     rng = np.random.default_rng(rng_seed)
-    lam, u = np.linalg.eigh(sol.t)
-    root = u * np.sqrt(np.maximum(lam, 0.0))
+    lam, u = _core_spectrum(sol)
+    root = u * np.sqrt(lam)
     z = rng.standard_normal((sol.rank, count))
     return (x_star[:, None] + sol.v @ (root @ z)).T
 

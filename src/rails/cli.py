@@ -18,6 +18,7 @@ so it holds for every command.
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import os
 import sys
@@ -28,12 +29,7 @@ from . import __version__, mmio, solver, testproblems
 from .analysis import eofs, write_eigenvalue_csv, write_eof_csv
 from .dae import partition
 from .errors import OracleSizeError, RailsError
-from .oracles import (
-    KRON_SIZE_CAP,
-    SimulationConfig,
-    euler_maruyama_covariance,
-    kron_solve_dae,
-)
+from .oracles import SimulationConfig, euler_maruyama_covariance, kron_solve_dae
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -74,18 +70,20 @@ def _fix_mmap_threshold():
     mallopt(_M_MMAP_THRESHOLD, _LARGE_ARRAY_BYTES)
 
 
+def _write_json(path, data):
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir, command, inputs, options, outputs):
-    manifest = {
+    _write_json(os.path.join(out_dir, "manifest.json"), {
         "command": command,
         "inputs": inputs,
         "options": options,
         "outputs": sorted(outputs),
         "package_version": __version__,
-    }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _build_parser():
@@ -109,20 +107,21 @@ def _build_parser():
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
 
-    s = sub.add_parser("solve", help="solve a problem given as Matrix Market files")
+    s = sub.add_parser("solve", argument_default=argparse.SUPPRESS,
+                       help="solve a problem given as Matrix Market files")
     s.add_argument("--a", required=True, help="A.mtx path")
     s.add_argument("--m", required=True, help="M.mtx path")
     s.add_argument("--b", required=True, help="B.mtx path")
     s.add_argument("--out", required=True)
-    s.add_argument("--expand-m", type=int, default=3)
-    s.add_argument("--tol", type=float, default=1e-2)
-    s.add_argument("--restart-period", type=int, default=50)
-    s.add_argument("--restart-tol", type=float, default=0.0)
-    s.add_argument("--restart-tol-growth", type=float, default=1.0)
-    s.add_argument("--max-iters", type=int, default=1000)
-    s.add_argument("--variant", choices=["standard", "inverse"], default="standard")
+    s.add_argument("--expand-m", type=int)
+    s.add_argument("--tol", type=float)
+    s.add_argument("--restart-period", type=int)
+    s.add_argument("--restart-tol", type=float)
+    s.add_argument("--restart-tol-growth", type=float)
+    s.add_argument("--max-iters", type=int)
+    s.add_argument("--variant", choices=["standard", "inverse"])
     s.add_argument("--initial-space", choices=sorted(_SPACES))
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, dest="rng_seed")
 
     v = sub.add_parser("validate", help="check a solution against the oracles")
     v.add_argument("--problem", required=True, help="directory with A/M/B.mtx")
@@ -163,23 +162,10 @@ def _cmd_generate(args):
     mmio.save_sparse(os.path.join(args.out, "A.mtx"), a)
     mmio.save_sparse(os.path.join(args.out, "M.mtx"), m)
     mmio.save_dense(os.path.join(args.out, "B.mtx"), forcing.b)
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    options["pattern"] = _PATTERNS[args.pattern]
     _write_manifest(
-        args.out,
-        "generate",
-        {},
-        {
-            "kind": args.kind,
-            "n": args.n,
-            "scale": args.scale,
-            "n_diff": args.n_diff,
-            "n_alg": args.n_alg,
-            "coupling": args.coupling,
-            "shift": args.shift,
-            "pattern": _PATTERNS[args.pattern],
-            "sigma": args.sigma,
-            "seed": args.seed,
-        },
-        ["A.mtx", "M.mtx", "B.mtx", "manifest.json"],
+        args.out, "generate", {}, options, ["A.mtx", "M.mtx", "B.mtx", "manifest.json"]
     )
     print(f"wrote {args.kind} problem (n={n}, {forcing.b.shape[1]} forcing columns) to {args.out}")
     return EXIT_OK
@@ -189,41 +175,22 @@ def _cmd_solve(args):
     a = mmio.load_sparse(args.a)
     m = mmio.load_sparse(args.m)
     b = mmio.load_dense(args.b)
-    space = _SPACES[args.initial_space] if args.initial_space else (
-        "inverse_applied_to_b" if args.variant == "inverse" else "random"
-    )
-    opts = solver.SolverOptions(
-        expand_m=args.expand_m,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        restart_period=args.restart_period,
-        restart_tol=args.restart_tol,
-        restart_tol_growth=args.restart_tol_growth,
-        variant=args.variant,
-        initial_space=space,
-        rng_seed=args.seed,
-    )
+    inputs = {"a": args.a, "m": args.m, "b": args.b}
+    given = {
+        k: v for k, v in vars(args).items() if k not in ("command", "out", *inputs)
+    }
+    if "initial_space" in given:
+        given["initial_space"] = _SPACES[given["initial_space"]]
+    opts = solver.SolverOptions(**given)
     sol, report = solver.solve_dae(a, m, b, opts)
     os.makedirs(args.out, exist_ok=True)
     mmio.save_solution(args.out, sol)
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "report.json"), report.to_json_dict())
+    options = dataclasses.asdict(opts)
+    del options["initial_v"]
+    options["seed"] = options.pop("rng_seed")
     _write_manifest(
-        args.out,
-        "solve",
-        {"a": args.a, "m": args.m, "b": args.b},
-        {
-            "expand_m": args.expand_m,
-            "tol": args.tol,
-            "restart_period": args.restart_period,
-            "restart_tol": args.restart_tol,
-            "restart_tol_growth": args.restart_tol_growth,
-            "max_iters": args.max_iters,
-            "variant": args.variant,
-            "initial_space": space,
-            "seed": args.seed,
-        },
+        args.out, "solve", inputs, options,
         ["V.mtx", "T.mtx", "report.json", "manifest.json"],
     )
     rho = report.residual_history[-1][1] if report.residual_history else float("nan")
@@ -250,7 +217,7 @@ def _cmd_validate(args):
     checked = False
     if args.oracle == "kron":
         # OracleSizeError propagates (exit 5) when n is past the cap
-        c_ref = kron_solve_dae(a, m, b, size_cap=KRON_SIZE_CAP)
+        c_ref = kron_solve_dae(a, m, b)
         err = np.linalg.norm(sol.to_dense() - c_ref, "fro") / max(
             np.linalg.norm(c_ref, "fro"), np.finfo(float).tiny
         )

@@ -39,7 +39,7 @@ def _densify(a):
     return as_matrix(a)
 
 
-def kron_solve(a, m, b, size_cap=KRON_SIZE_CAP):
+def kron_solve(a, m, b):
     """Solve A C M' + M C A' + B B' = 0 by vectorization.
 
     vec of the equation gives (M (x) A + A (x) M) vec(C) = -vec(B B'),
@@ -58,9 +58,9 @@ def kron_solve(a, m, b, size_cap=KRON_SIZE_CAP):
         raise ValueError("A and M must be square matrices of equal size")
     if b.shape[0] != n:
         raise ValueError(f"B has {b.shape[0]} rows, expected {n}")
-    if n > size_cap:
+    if n > KRON_SIZE_CAP:
         raise OracleSizeError(
-            f"vectorization oracle is capped at n = {size_cap}, got n = {n}"
+            f"vectorization oracle is capped at n = {KRON_SIZE_CAP}, got n = {n}"
         )
     lhs = np.kron(m, a) + np.kron(a, m)
     rhs = -(b @ b.T).reshape(-1, order="F")
@@ -82,7 +82,7 @@ def kron_solve(a, m, b, size_cap=KRON_SIZE_CAP):
     return c
 
 
-def kron_solve_dae(a, m, b, size_cap=KRON_SIZE_CAP):
+def kron_solve_dae(a, m, b):
     """Full-space stationary covariance of a DAE pencil, densely.
 
     Partitions by the zero rows of M, solves the reduced equation
@@ -101,17 +101,17 @@ def kron_solve_dae(a, m, b, size_cap=KRON_SIZE_CAP):
     m = _densify(m)
     b = as_matrix(b)
     n = a.shape[0]
-    if n > 10 * size_cap:
+    if n > 10 * KRON_SIZE_CAP:
         raise OracleSizeError(
-            f"dense constraint recovery is capped at n = {10 * size_cap}, "
+            f"dense constraint recovery is capped at n = {10 * KRON_SIZE_CAP}, "
             f"got n = {n}"
         )
-    row_max = np.abs(m).max(axis=1) if n else np.zeros(0)
+    row_max = np.abs(m).max(axis=1, initial=0.0)
     alg = np.flatnonzero(row_max == 0.0)
     diff = np.flatnonzero(row_max > 0.0)
-    if diff.size > size_cap:
+    if diff.size > KRON_SIZE_CAP:
         raise OracleSizeError(
-            f"vectorization oracle is capped at {size_cap} differential "
+            f"vectorization oracle is capped at {KRON_SIZE_CAP} differential "
             f"variables, got {diff.size}"
         )
     a11 = a[np.ix_(alg, alg)]
@@ -121,7 +121,7 @@ def kron_solve_dae(a, m, b, size_cap=KRON_SIZE_CAP):
     m22 = m[np.ix_(diff, diff)]
     b2 = b[diff, :]
     s = a22 - a21 @ np.linalg.solve(a11, a12)
-    c22 = kron_solve(s, m22, b2, size_cap=size_cap)
+    c22 = kron_solve(s, m22, b2)
     g = -np.linalg.solve(a11, a12)  # x1 = G x2 on the constraint manifold
     c12 = g @ c22
     c11 = g @ c12.T
@@ -153,8 +153,8 @@ class SimulationConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if not 0 <= self.burn_in < self.n_steps:

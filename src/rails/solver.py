@@ -148,9 +148,11 @@ class LyapunovProblem:
 
 @dataclass
 class SolverOptions:
-    """Tuning knobs. The defaults are the always-expand-by-3 configuration
-    with a loose 1e-2 relative residual target and lossless restarts every
-    50 sweeps."""
+    """Tuning knobs, and the one place their defaults are stated (``rails
+    solve`` passes on only the options it is given): always expand by 3,
+    a loose 1e-2 relative residual target, lossless restarts every 50
+    sweeps. An ``initial_space`` of None becomes "inverse_applied_to_b"
+    (A^{-1} B) for the inverse variant and "random" otherwise."""
 
     expand_m: int = 3
     max_iters: int = 1000
@@ -159,7 +161,7 @@ class SolverOptions:
     restart_tol: float = 0.0
     restart_tol_growth: float = 1.0
     variant: str = "standard"  # or "inverse"
-    initial_space: str = "random"  # random | given | columns_of_b | inverse_applied_to_b
+    initial_space: str | None = None  # random | given | columns_of_b | inverse_applied_to_b
     initial_v: np.ndarray | None = None
     rng_seed: int = 0
 
@@ -168,16 +170,19 @@ class SolverOptions:
             raise ValueError("expand_m must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.restart_period < 1:
             raise ValueError("restart_period must be >= 1")
-        if self.restart_tol < 0:
-            raise ValueError("restart_tol must be >= 0")
-        if self.restart_tol_growth < 1:
-            raise ValueError("restart_tol_growth must be >= 1")
+        if not 0 <= self.restart_tol < np.inf:
+            raise ValueError("restart_tol must be >= 0 and finite")
+        if not 1 <= self.restart_tol_growth < np.inf:
+            raise ValueError("restart_tol_growth must be >= 1 and finite")
         if self.variant not in ("standard", "inverse"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.initial_space is None:
+            inverse = self.variant == "inverse"
+            self.initial_space = "inverse_applied_to_b" if inverse else "random"
         if self.initial_space not in (
             "random",
             "given",
@@ -493,7 +498,6 @@ def solve_dae(a, m, b, opts=None, callback=None):
     if sys.is_pass_through():
         return sol, report
     full = recover_full_covariance(sys, sol)
-    report.final_rank = full.rank
     report.mvp_count += sol.rank
     report.imvp_count += sol.rank
     return full, report

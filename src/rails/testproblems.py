@@ -43,8 +43,8 @@ def gen_diffusion(n, scale=1.0):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     h2 = float(scale) * (n + 1) ** 2
     main = np.full(n, -2.0 * h2)
     off = np.full(n - 1, h2)
@@ -88,8 +88,8 @@ def gen_dae(n_diff, n_alg, coupling=0.3, shift=1.0, rng_seed=0):
     """
     if n_diff < 1 or n_alg < 0:
         raise ValueError("need n_diff >= 1 and n_alg >= 0")
-    if shift <= 0:
-        raise ValueError("shift must be positive")
+    if not (0 < shift < math.inf and math.isfinite(coupling)):
+        raise ValueError("shift must be positive and finite, coupling finite")
     current = float(shift)
     for attempt in range(_MAX_SHIFT_DOUBLINGS + 1):
         rng = np.random.default_rng([rng_seed, attempt])
@@ -103,13 +103,11 @@ def gen_dae(n_diff, n_alg, coupling=0.3, shift=1.0, rng_seed=0):
             if top >= 0:
                 current *= 2.0
                 continue
-        a = sparse.bmat(
-            [[-sparse.identity(n_alg), a12], [a21, a22]], format="csr"
-        ) if n_alg else a22
+        a = sparse.bmat([[-sparse.identity(n_alg), a12], [a21, a22]], format="csr")
         m = sparse.block_diag(
             [sparse.csr_matrix((n_alg, n_alg)), sparse.identity(n_diff)],
             format="csr",
-        ) if n_alg else sparse.identity(n_diff, format="csr")
+        )
         sites = n_alg + np.arange(math.ceil(n_diff / 4))
         return a, m, sites
     raise GenerationError(

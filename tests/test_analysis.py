@@ -181,6 +181,13 @@ class TestSampling:
         cov = d.T @ d / (len(d) - 1)
         assert np.abs(cov - sol.to_dense()).max() < 0.05
 
+    def test_materially_negative_core_rejected(self):
+        # the same core eofs and gaussian_logpdf reject; sampling it as if
+        # clamped would draw from a different covariance
+        sol = _diag_solution([1.0, -1.0])
+        with pytest.raises(InvalidCovarianceError):
+            sample_stationary(sol, np.zeros(2), 5)
+
     def test_samples_live_on_support(self):
         sol = _diag_solution([1.0], n=3)
         s = sample_stationary(sol, np.zeros(3), 20, rng_seed=1)

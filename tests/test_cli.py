@@ -191,6 +191,38 @@ class TestSolve:
         report = json.loads((solution / "report.json").read_text())
         assert report["imvps"] > 0
 
+    def test_infinite_tol_is_usage_error(self, tmp_path, capsys):
+        problem = _generate_dae(tmp_path)
+        code = _run(
+            "solve", "--a", str(problem / "A.mtx"), "--m",
+            str(problem / "M.mtx"), "--b", str(problem / "B.mtx"),
+            "--tol", "inf", "--out", str(tmp_path / "solution"),
+        )
+        assert code == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+
+    def test_no_options_records_solver_defaults(self, tmp_path):
+        problem = _generate_dae(tmp_path)
+        solution = tmp_path / "solution"
+        assert _run(
+            "solve", "--a", str(problem / "A.mtx"), "--m",
+            str(problem / "M.mtx"), "--b", str(problem / "B.mtx"),
+            "--out", str(solution),
+        ) == 0
+        manifest = json.loads((solution / "manifest.json").read_text())
+        opts = rails.solver.SolverOptions()
+        assert manifest["options"] == {
+            "expand_m": opts.expand_m,
+            "max_iters": opts.max_iters,
+            "tol": opts.tol,
+            "restart_period": opts.restart_period,
+            "restart_tol": opts.restart_tol,
+            "restart_tol_growth": opts.restart_tol_growth,
+            "variant": opts.variant,
+            "initial_space": opts.initial_space,
+            "seed": opts.rng_seed,
+        }
+
     def test_reruns_byte_identical(self, tmp_path):
         problem = _generate_dae(tmp_path)
         outs = []

@@ -65,6 +65,10 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition(TWO_VAR_A, _csr(np.zeros((3, 3))), TWO_VAR_B)
 
+    def test_forcing_row_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="B has 3 rows"):
+            partition(TWO_VAR_A, TWO_VAR_M, np.zeros((3, 1)))
+
     def test_singular_m22_rejected(self):
         # Rows 1 and 2 of M are nonzero, so both are differential, but
         # M22 = [[1, 1], [1, 1]] is singular.
@@ -120,6 +124,12 @@ class TestSchurOperator:
         back = sys.solve(sys.apply(x[:, 0]))
         assert back.shape == (25,)
         assert np.allclose(back, x[:, 0], atol=1e-8)
+
+    def test_singular_full_a_has_no_solve(self):
+        # A11 = -1 factors, but S = 0 and so is the full A singular.
+        sys = partition(_csr(np.diag([-1.0, 0.0])), TWO_VAR_M, TWO_VAR_B)
+        with pytest.raises(SingularMatrixError):
+            sys.solve(np.ones(1))
 
 
 class TestRecovery:

@@ -1,9 +1,23 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sparse
 from scipy.sparse.linalg import LinearOperator
 
-from rails.matrices import lanczos_topk, orthonormalize
+from rails.matrices import as_matrix, check_sparse, lanczos_topk, orthonormalize
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            check_sparse(sparse.csr_matrix(np.array([[1.0, value]])))
+        with pytest.raises(ValueError, match="finite"):
+            as_matrix([[1.0, value]])
+
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="ndim=3"):
+            as_matrix(np.zeros((2, 2, 2)))
 
 
 class TestOrthonormalize:

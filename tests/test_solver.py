@@ -5,10 +5,10 @@ import pytest
 import scipy.sparse as sparse
 
 from rails.dae import partition
-from rails.errors import ForcingOnConstraintError
+from rails.errors import ForcingOnConstraintError, SingularMatrixError
 from rails.lowrank import LowRankSolution
 from rails.matrices import orthonormalize
-from rails.oracles import kron_solve, kron_solve_dae, residual_matrix
+from rails.oracles import SimulationConfig, kron_solve, kron_solve_dae, residual_matrix
 import rails.solver
 from rails.solver import (
     LyapunovProblem,
@@ -174,6 +174,67 @@ class TestSolveBasics:
             SolverOptions(restart_tol=-1e-3)
         with pytest.raises(ValueError):
             SolverOptions(restart_tol_growth=0.5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iters": 0}, "max_iters"),
+        ({"restart_period": 0}, "restart_period"),
+        ({"initial_space": "eigenvectors"}, "unknown initial space"),
+    ])
+    def test_out_of_range_options_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SolverOptions(**kwargs)
+
+    def test_inverse_variant_starts_from_inverse_image(self):
+        assert SolverOptions().initial_space == "random"
+        assert SolverOptions(variant="inverse").initial_space == "inverse_applied_to_b"
+        opts = SolverOptions(variant="inverse", initial_space="columns_of_b")
+        assert opts.initial_space == "columns_of_b"
+
+    def test_initial_space_without_columns_rejected(self):
+        problem = LyapunovProblem(_csr(-np.eye(2)), None, np.ones((2, 1)))
+        wrong_rows = SolverOptions(initial_space="given", initial_v=np.ones((3, 1)))
+        with pytest.raises(ValueError, match="initial space has 3 rows"):
+            solve(problem, wrong_rows)
+        problem = LyapunovProblem(_csr(-np.eye(2)), None, np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="no independent columns"):
+            solve(problem, SolverOptions(initial_space="columns_of_b"))
+
+
+# Each must raise ValueError naming finiteness, as an out-of-range value does:
+# NaN fails every comparison and infinity passes the one-sided ones.
+_NON_FINITE = {
+    "tol=inf": lambda: SolverOptions(tol=np.inf),
+    "restart_tol=nan": lambda: SolverOptions(restart_tol=np.nan),
+    "restart_tol_growth=nan": lambda: SolverOptions(restart_tol_growth=np.nan),
+    "dt=nan": lambda: SimulationConfig(dt=np.nan, n_steps=10),
+    "scale=nan": lambda: gen_diffusion(5, scale=np.nan),
+    "shift=nan": lambda: gen_dae(5, 2, shift=np.nan),
+    "coupling=nan": lambda: gen_dae(5, 2, coupling=np.nan),
+}
+
+
+@pytest.mark.parametrize("make", _NON_FINITE.values(), ids=list(_NON_FINITE))
+def test_non_finite_values_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+class TestProblemValidation:
+    @pytest.mark.parametrize("a, m, b, message", [
+        (np.ones((2, 3)), None, np.ones((2, 1)), "A must be square"),
+        (-np.eye(2), np.eye(3), np.ones((2, 1)), "M must match A"),
+        (-np.eye(2), None, np.ones((3, 1)), "B has 3 rows"),
+        (-np.eye(2), None, np.ones((2, 0)), "at least one column"),
+    ], ids=["a-not-square", "m-size", "b-rows", "b-no-columns"])
+    def test_shapes_rejected(self, a, m, b, message):
+        with pytest.raises(ValueError, match=message):
+            LyapunovProblem(_csr(a), None if m is None else _csr(m), b)
+
+    def test_singular_sparse_a_has_no_inverse_products(self):
+        problem = LyapunovProblem(_csr(np.ones((2, 2))), None, np.ones((2, 1)))
+        with pytest.raises(SingularMatrixError):
+            problem.apply_a_inverse(np.ones(2))
+        assert problem.imvps == 0
 
 
 class TestResidualEstimate:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from rails import testproblems
 from rails.dae import partition, schur_apply
+from rails.errors import GenerationError
 from rails.testproblems import PATTERNS, gen_dae, gen_diffusion, gen_forcing
 
 
@@ -92,6 +94,25 @@ class TestGenDae:
         assert a.shape == (8, 8)
         assert (m != sparse.identity(8, format="csr")).nnz == 0
         assert np.array_equal(sites, [0, 1])
+
+    def test_unstable_draw_doubles_the_shift(self):
+        # At coupling 1 the first draw (seed [0, 0], shift 1) is not
+        # Hurwitz; the second (seed [0, 1]) is, with the shift doubled to 2.
+        a, m, _ = gen_dae(20, 6, coupling=1.0, shift=1.0, rng_seed=0)
+        rng = np.random.default_rng([0, 1])
+        a12 = testproblems._random_sparse(rng, 6, 20, 3, 1.0)
+        a21 = testproblems._random_sparse(rng, 20, 6, 3, 1.0)
+        d = testproblems._random_sparse(rng, 20, 20, 3, 1.0)
+        dense = a.toarray()
+        assert np.array_equal(dense[6:, 6:], d.toarray() - 2.0 * np.eye(20))
+        assert np.array_equal(dense[:6, 6:], a12.toarray())
+        assert np.array_equal(dense[6:, :6], a21.toarray())
+        sys = partition(a, m, np.zeros((26, 0)))
+        assert np.linalg.eigvals(schur_apply(sys, np.eye(20))).real.max() < 0
+
+    def test_no_stable_draw_raises_after_ten_doublings(self):
+        with pytest.raises(GenerationError, match="10 shift doublings"):
+            gen_dae(10, 4, coupling=1e4, rng_seed=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
