@@ -10,6 +10,11 @@ structure), and provides the analysis and verification tooling around
 them: dominant-direction extraction, degenerate Gaussian densities,
 brute-force dense oracles and a stochastic simulation cross-check.
 
+Each library module's ``__all__`` is the one list of its public names:
+the package re-exports them all, and its own ``__all__`` is their
+concatenation. ``rails.cli`` is the command line entry point and exports
+nothing.
+
 The RAILS_THREADS environment variable caps BLAS threading (default: all
 cores). BLAS reads its thread count when numpy first loads, so the cap is
 applied here, before any numeric import of the package.
@@ -28,101 +33,26 @@ def _apply_thread_cap():
 
 _apply_thread_cap()
 
-from .analysis import EofSet, eofs, gaussian_logpdf, sample_stationary
-from .dae import DaeSystem, partition, recover_full_covariance, schur_apply
-from .dense_lyap import ProjectedSystem, solve_projected, solve_standard_dense
-from .errors import (
-    ForcingOnConstraintError,
-    GenerationError,
-    InvalidCovarianceError,
-    NoUniqueSolutionError,
-    OracleSizeError,
-    RailsError,
-    ReductionImpossibleError,
-    SimulationBlowupError,
-    SingularMatrixError,
-    StabilityError,
+from . import (
+    analysis, dae, dense_lyap, errors, lowrank,
+    matrices, mmio, oracles, solver, testproblems,
 )
-from .lowrank import LowRankSolution
-from .matrices import LanczosResult, lanczos_topk, orthonormalize
-from .mmio import (
-    load_dense,
-    load_solution,
-    load_sparse,
-    save_dense,
-    save_solution,
-    save_sparse,
-)
-from .oracles import (
-    SimulationConfig,
-    empirical_covariance,
-    euler_maruyama_covariance,
-    kron_solve,
-    kron_solve_dae,
-    residual_matrix,
-)
-from .solver import (
-    LyapunovProblem,
-    ResidualEstimate,
-    SolveReport,
-    SolverOptions,
-    residual_norm_and_vectors,
-    restart,
-    solve,
-    solve_dae,
-)
-from .testproblems import ForcingMatrix, gen_dae, gen_diffusion, gen_forcing
+from .analysis import *
+from .dae import *
+from .dense_lyap import *
+from .errors import *
+from .lowrank import *
+from .matrices import *
+from .mmio import *
+from .oracles import *
+from .solver import *
+from .testproblems import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EofSet",
-    "eofs",
-    "gaussian_logpdf",
-    "sample_stationary",
-    "DaeSystem",
-    "partition",
-    "recover_full_covariance",
-    "schur_apply",
-    "ProjectedSystem",
-    "solve_projected",
-    "solve_standard_dense",
-    "RailsError",
-    "StabilityError",
-    "SingularMatrixError",
-    "ReductionImpossibleError",
-    "ForcingOnConstraintError",
-    "NoUniqueSolutionError",
-    "OracleSizeError",
-    "SimulationBlowupError",
-    "InvalidCovarianceError",
-    "GenerationError",
-    "LowRankSolution",
-    "LanczosResult",
-    "lanczos_topk",
-    "orthonormalize",
-    "load_dense",
-    "load_solution",
-    "load_sparse",
-    "save_dense",
-    "save_solution",
-    "save_sparse",
-    "SimulationConfig",
-    "empirical_covariance",
-    "euler_maruyama_covariance",
-    "kron_solve",
-    "kron_solve_dae",
-    "residual_matrix",
-    "LyapunovProblem",
-    "ResidualEstimate",
-    "SolveReport",
-    "SolverOptions",
-    "residual_norm_and_vectors",
-    "restart",
-    "solve",
-    "solve_dae",
-    "ForcingMatrix",
-    "gen_dae",
-    "gen_diffusion",
-    "gen_forcing",
+    name
+    for module in (analysis, dae, dense_lyap, errors, lowrank,
+                   matrices, mmio, oracles, solver, testproblems)
+    for name in module.__all__
 ]

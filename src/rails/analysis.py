@@ -14,14 +14,7 @@ import numpy as np
 
 from .errors import InvalidCovarianceError
 
-__all__ = [
-    "EofSet",
-    "eofs",
-    "gaussian_logpdf",
-    "sample_stationary",
-    "write_eof_csv",
-    "write_eigenvalue_csv",
-]
+__all__ = ["EofSet", "eofs", "gaussian_logpdf", "sample_stationary"]
 
 _SUPPORT_TOL = 1e-8
 

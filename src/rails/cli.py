@@ -20,6 +20,7 @@ import argparse
 import ctypes
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -204,6 +205,9 @@ def _cmd_solve(args):
 
 
 def _cmd_validate(args):
+    for flag, tol in (("--check-tol", args.check_tol), ("--sim-tol", args.sim_tol)):
+        if not 0 <= tol < math.inf:
+            raise ValueError(f"{flag} must be in [0, inf), got {tol}")
     a = mmio.load_sparse(os.path.join(args.problem, "A.mtx"))
     m = mmio.load_sparse(os.path.join(args.problem, "M.mtx"))
     b = mmio.load_dense(os.path.join(args.problem, "B.mtx"))
@@ -239,7 +243,8 @@ def _cmd_validate(args):
             rng_seed=args.seed,
         )
         c_emp, used = euler_maruyama_covariance(sys_, cfg)
-        c22 = sol.to_dense()[np.ix_(sys_.differential_rows, sys_.differential_rows)]
+        v = sol.v[sys_.differential_rows]
+        c22 = v @ sol.t @ v.T
         lam_emp = np.linalg.eigvalsh(c_emp).max()
         lam_sol = np.linalg.eigvalsh(c22).max()
         err = abs(lam_emp - lam_sol) / max(abs(lam_sol), np.finfo(float).tiny)

@@ -3,7 +3,21 @@
 Structural failures (unstable pencils, impossible reductions, forcing on
 constraint rows) get their own classes so the command line layer can map
 them onto distinct exit codes. Plain argument mistakes raise ValueError.
+All of them are exported from ``rails``.
 """
+
+__all__ = [
+    "RailsError",
+    "StabilityError",
+    "SingularMatrixError",
+    "ReductionImpossibleError",
+    "ForcingOnConstraintError",
+    "NoUniqueSolutionError",
+    "OracleSizeError",
+    "SimulationBlowupError",
+    "InvalidCovarianceError",
+    "GenerationError",
+]
 
 
 class RailsError(Exception):

@@ -16,13 +16,7 @@ import scipy.sparse as sparse
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import aslinearoperator
 
-__all__ = [
-    "check_sparse",
-    "as_matrix",
-    "orthonormalize",
-    "LanczosResult",
-    "lanczos_topk",
-]
+__all__ = ["orthonormalize", "LanczosResult", "lanczos_topk"]
 
 
 def check_sparse(a):

@@ -120,9 +120,9 @@ def kron_solve_dae(a, m, b):
     a22 = a[np.ix_(diff, diff)]
     m22 = m[np.ix_(diff, diff)]
     b2 = b[diff, :]
-    s = a22 - a21 @ np.linalg.solve(a11, a12)
-    c22 = kron_solve(s, m22, b2)
     g = -np.linalg.solve(a11, a12)  # x1 = G x2 on the constraint manifold
+    s = a22 + a21 @ g
+    c22 = kron_solve(s, m22, b2)
     c12 = g @ c22
     c11 = g @ c12.T
     c = np.zeros((n, n))

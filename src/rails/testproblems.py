@@ -127,7 +127,8 @@ def gen_forcing(sites, n, pattern, magnitude=1.0, weights=None):
         diag(B @ 1) restricted to the site columns. Each row of B holds at
         most one nonzero, so this equals the uncorrelated matrix.
 
-    ``weights`` defaults to all ones. The patterns are deterministic.
+    ``weights`` defaults to all ones; it and ``magnitude`` must be finite.
+    The patterns are deterministic.
     """
     sites = np.asarray(sites, dtype=np.int64).reshape(-1)
     if sites.size == 0:
@@ -144,6 +145,8 @@ def gen_forcing(sites, n, pattern, magnitude=1.0, weights=None):
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         if weights.shape != (sites.size,):
             raise ValueError("weights must match the number of sites")
+    if not (math.isfinite(magnitude) and np.isfinite(weights).all()):
+        raise ValueError("magnitude and weights must be finite")
     if pattern == "row_sum_vector":
         width, columns = 1, 0
     else:

@@ -67,6 +67,14 @@ class TestGenerate:
                     str(tmp_path / "x"))
         assert code == 2
 
+    def test_non_finite_sigma_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        code = _run("generate", "--kind", "diffusion", "--n", "10",
+                    "--sigma", "nan", "--out", str(out))
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_pattern_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             _run("generate", "--kind", "diffusion", "--n", "5",
@@ -258,6 +266,25 @@ class TestValidate:
         )
         assert code == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("flag", ["--check-tol", "--sim-tol"])
+    def test_tolerance_outside_range_is_usage_error(self, tmp_path, capsys,
+                                                    flag, value):
+        problem = _generate_dae(tmp_path)
+        solution = tmp_path / "solution"
+        assert _run(
+            "solve", "--a", str(problem / "A.mtx"), "--m",
+            str(problem / "M.mtx"), "--b", str(problem / "B.mtx"),
+            "--tol", "1e-10", "--out", str(solution),
+        ) == 0
+        capsys.readouterr()
+        code = _run("validate", "--problem", str(problem), "--solution",
+                    str(solution), f"{flag}={value}")
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{flag} must be in [0, inf)" in err
 
     def test_oracle_cap_exit_code(self, tmp_path):
         out = tmp_path / "p"

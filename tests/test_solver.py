@@ -210,6 +210,10 @@ _NON_FINITE = {
     "scale=nan": lambda: gen_diffusion(5, scale=np.nan),
     "shift=nan": lambda: gen_dae(5, 2, shift=np.nan),
     "coupling=nan": lambda: gen_dae(5, 2, coupling=np.nan),
+    "magnitude=nan": lambda: gen_forcing([0], 2, "row_sum_vector", magnitude=np.nan),
+    "magnitude=inf": lambda: gen_forcing([0], 2, "row_sum_vector", magnitude=np.inf),
+    "weights=nan": lambda: gen_forcing([0, 1], 2, "uncorrelated_columns",
+                                       weights=[1.0, np.nan]),
 }
 
 
