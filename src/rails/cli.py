@@ -208,6 +208,8 @@ def _cmd_validate(args):
     for flag, tol in (("--check-tol", args.check_tol), ("--sim-tol", args.sim_tol)):
         if not 0 <= tol < math.inf:
             raise ValueError(f"{flag} must be in [0, inf), got {tol}")
+    if args.oracle == "none" and not args.simulate:
+        raise ValueError("nothing to validate: oracle disabled and --simulate not set")
     a = mmio.load_sparse(os.path.join(args.problem, "A.mtx"))
     m = mmio.load_sparse(os.path.join(args.problem, "M.mtx"))
     b = mmio.load_dense(os.path.join(args.problem, "B.mtx"))
@@ -218,7 +220,6 @@ def _cmd_validate(args):
             f"solution dimension {sol.dimension} does not match problem size {n}"
         )
     ok = True
-    checked = False
     if args.oracle == "kron":
         # OracleSizeError propagates (exit 5) when n is past the cap
         c_ref = kron_solve_dae(a, m, b)
@@ -227,7 +228,6 @@ def _cmd_validate(args):
         )
         passed = err <= args.check_tol
         ok &= passed
-        checked = True
         print(
             f"oracle check: relative error {err:.3e} "
             f"{'<=' if passed else '>'} {args.check_tol:.3e} "
@@ -250,15 +250,12 @@ def _cmd_validate(args):
         err = abs(lam_emp - lam_sol) / max(abs(lam_sol), np.finfo(float).tiny)
         passed = err <= args.sim_tol
         ok &= passed
-        checked = True
         print(
             f"simulation check: leading eigenvalue {lam_emp:.6e} vs {lam_sol:.6e} "
             f"({used} samples), discrepancy {err:.3e} "
             f"{'<=' if passed else '>'} {args.sim_tol:.3e} "
             f"[{'pass' if passed else 'FAIL'}]"
         )
-    if not checked:
-        raise ValueError("nothing to validate: oracle disabled and --simulate not set")
     return EXIT_OK if ok else EXIT_FAILED
 
 

@@ -50,18 +50,18 @@ def kron_solve(a, m, b):
     Kronecker matrix is singular, which happens exactly when two pencil
     eigenvalues pair to zero.
     """
-    a = _densify(a)
-    m = _densify(m)
-    b = as_matrix(b)
-    n = a.shape[0]
-    if a.shape != (n, n) or m.shape != (n, n):
-        raise ValueError("A and M must be square matrices of equal size")
-    if b.shape[0] != n:
-        raise ValueError(f"B has {b.shape[0]} rows, expected {n}")
+    n = np.shape(a)[0]
     if n > KRON_SIZE_CAP:
         raise OracleSizeError(
             f"vectorization oracle is capped at n = {KRON_SIZE_CAP}, got n = {n}"
         )
+    a = _densify(a)
+    m = _densify(m)
+    b = as_matrix(b)
+    if a.shape != (n, n) or m.shape != (n, n):
+        raise ValueError("A and M must be square matrices of equal size")
+    if b.shape[0] != n:
+        raise ValueError(f"B has {b.shape[0]} rows, expected {n}")
     lhs = np.kron(m, a) + np.kron(a, m)
     rhs = -(b @ b.T).reshape(-1, order="F")
     try:
@@ -97,15 +97,15 @@ def kron_solve_dae(a, m, b):
 
     Returns the dense n x n covariance in the original row ordering.
     """
-    a = _densify(a)
-    m = _densify(m)
-    b = as_matrix(b)
-    n = a.shape[0]
+    n = np.shape(a)[0]
     if n > 10 * KRON_SIZE_CAP:
         raise OracleSizeError(
             f"dense constraint recovery is capped at n = {10 * KRON_SIZE_CAP}, "
             f"got n = {n}"
         )
+    a = _densify(a)
+    m = _densify(m)
+    b = as_matrix(b)
     row_max = np.abs(m).max(axis=1, initial=0.0)
     alg = np.flatnonzero(row_max == 0.0)
     diff = np.flatnonzero(row_max > 0.0)

@@ -9,15 +9,21 @@ solved densely each sweep. The residual
 
     R = A C M' + M C A' + B B',  C = V T V',
 
-is never formed: its dominant eigenpairs come from Lanczos on the implicit
-action R x = (AV) T (MV)'x + (MV) T (AV)'x + B (B'x), using cached products
-AV and MV (with an identity mass, MV is V itself). The space grows by the
-top residual eigenvectors (or their inverse images under A for the inverse
-variant) until the relative spectral norm ||R||_2 / ||B||_2^2, estimated by
-a converged Lanczos run, drops below the tolerance twice, with a
-rank-trimming restart in between; periodic restarts every
-``restart_period`` sweeps keep the space from growing without bound on hard
-problems. Trims keep the eigenmodes of the core above the retention
+has its range in span[V, AV, MV, B]. The solver keeps one orthonormal
+basis W of that span and the coefficients of V, AV, MV and B in it, so
+R = W S W' with a small symmetric S, and ||R||_2 and the dominant residual
+eigenpairs come from a dense eigendecomposition of S: exact, with no
+random start. The only error is what W leaves out of a column it
+absorbs, at most 1e-10 of that column's norm (``_W_DROP_TOL``): each
+such cut, and each recompression of W after a trim, moves ||R||_2 by at
+most about 2e-10 (2 ||AV||_F ||T||_2 ||MV||_F + ||B||_F^2).
+
+The space grows by the top residual eigenvectors, projected off V (or by
+A^{-1} applied to that projection, for the inverse variant), until the
+relative spectral norm ||R||_2 / ||B||_2^2 drops below the tolerance
+twice, with a rank-trimming restart in between; periodic restarts every
+``restart_period`` sweeps keep the space from growing without bound on
+hard problems. Trims keep the eigenmodes of the core above the retention
 tolerance and above a rounding-level floor relative to the largest mode.
 """
 
@@ -31,7 +37,10 @@ from .dae import DaeSystem, partition, recover_full_covariance
 from .dense_lyap import DIMENSION_CAP, ProjectedSystem, solve_projected
 from .errors import SingularMatrixError
 from .lowrank import LowRankSolution
-from .matrices import as_matrix, check_sparse, lanczos_topk, orthonormalize
+from .matrices import as_matrix, check_sparse, orthonormalize
+# perfbench/tracing.py wraps the name rails.solver.lanczos_topk, which
+# nothing here calls any more; it stays bound until that tracer changes.
+from .matrices import lanczos_topk  # noqa: F401
 
 __all__ = [
     "LyapunovProblem",
@@ -44,10 +53,10 @@ __all__ = [
     "restart",
 ]
 
-# Residual-norm estimation inside the solve loop. Tighter than the
-# lanczos_topk defaults: the convergence certificate leans on it.
-_RESIDUAL_LANCZOS_STEPS = 30
-_RESIDUAL_LANCZOS_TOL = 1e-6
+# W absorbs a column only if it adds more than this fraction of the column's
+# norm: rounding level, so the coefficients stand for V, AV, MV and B to
+# about 1e-10 relative.
+_W_DROP_TOL = 1e-10
 
 
 class LyapunovProblem:
@@ -222,47 +231,29 @@ class SolveReport:
 @dataclass
 class ResidualEstimate:
     norm2: float
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    lanczos_converged: bool
-
-
-def _lanczos_residual(av, mv, t, b, m, rng_seed):
-    """Top-|lambda| eigenpairs of R = A C M' + M C A' + B B' by Lanczos on
-    its implicit action, from the cached products AV and MV."""
-
-    def matvec(x):
-        y = b @ (b.T @ x)
-        if t.shape[0]:
-            y += av @ (t @ (mv.T @ x))
-            y += mv @ (t @ (av.T @ x))
-        return y
-
-    n = b.shape[0]
-    res = lanczos_topk(
-        spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64),
-        min(m, n),
-        max_steps=_RESIDUAL_LANCZOS_STEPS,
-        tol=_RESIDUAL_LANCZOS_TOL,
-        rng_seed=rng_seed,
-    )
-    norm2 = float(np.abs(res.eigenvalues).max())
-    return ResidualEstimate(norm2, res.eigenvalues, res.eigenvectors, res.converged)
+    eigenvalues: np.ndarray  # (m,), sorted by |value| descending
+    eigenvectors: np.ndarray  # (n, m)
 
 
 def residual_norm_and_vectors(problem, sol, m):
-    """Estimate ||R||_2 and the top-|lambda| residual eigenpairs.
+    """||R||_2 and the top-|lambda| residual eigenpairs of ``sol``.
 
-    Forms A V and M V once (2 d applications), then runs Lanczos (seed 0)
-    on the implicit residual action, which costs no further sparse
-    products. Non-convergence of the Lanczos sweep is flagged on the
-    estimate, not raised.
+    Forms A V and M V once (2 d applications) and computes the residual
+    exactly in an orthonormal basis of span[V, AV, MV, B], the routine the
+    solve loop uses (see the module docstring for its accuracy). Returns
+    min(m, n) pairs; past the rank of R they have eigenvalue 0 and
+    coordinate-derived eigenvectors.
     """
     if sol.dimension != problem.dimension:
         raise ValueError("solution and problem dimensions differ")
-    av = problem.apply_a(sol.v)
-    mv = problem.apply_m(sol.v)
-    return _lanczos_residual(av, mv, sol.t, problem.b, m, 0)
+    state = _State(problem)
+    state.extend(state.absorb(sol.v))
+    n, j = problem.dimension, 0
+    while state.w.shape[1] < min(m, n):
+        state.absorb(np.eye(n, 1, -j))  # e_j: past span W, R maps it to zero
+        j += 1
+    norm2, lam, y = state.residual(sol.t, m)
+    return ResidualEstimate(norm2, lam, state.w @ y)
 
 
 def _eigen_trim(t, tol):
@@ -298,67 +289,162 @@ def restart(sol, restart_tol):
     return LowRankSolution(sol.v @ u, np.diag(lam))
 
 
+def _absorb(w, x):
+    """Split the columns of ``x`` into their part in span ``w`` (orthonormal
+    columns) and new orthonormal directions.
+
+    Returns (q, c): [w, q] has orthonormal columns and x = [w, q] c, up to
+    what each column leaves out, at most ``_W_DROP_TOL`` of its norm. Each
+    column is projected off ``w`` and the directions accepted before it
+    twice, and a third time when the second pass still removed more than
+    half of the remainder (Daniel, Gragg, Kaufman & Stewart 1976). With a
+    single pass, a projected pencil of the acceptance oracle sweep came
+    out unstable.
+    """
+    x = np.array(x, dtype=np.float64, order="F")
+    p, k = w.shape[1], x.shape[1]
+    c = np.zeros((p + k, k))
+    kept = 0
+    for j in range(k):
+        v = x[:, j]
+        bases = ((0, w), (p, x[:, :kept])) if kept else ((0, w),)
+        norm0 = norm = np.sqrt(v @ v)
+        for npass in range(3):
+            for row, basis in bases:
+                h = basis.T @ v
+                v -= basis @ h
+                c[row : row + h.size, j] += h
+            before, norm = norm, np.sqrt(v @ v)
+            if npass and norm >= 0.5 * before:
+                break
+        if norm <= _W_DROP_TOL * norm0:
+            continue
+        x[:, kept] = v / norm
+        c[p + kept, j] = norm
+        kept += 1
+    return x[:, :kept], c[: p + kept]
+
+
+def _pad_rows(c, rows):
+    """``c`` with zero rows appended up to ``rows``: its coefficients in a
+    basis grown by new columns."""
+    out = np.zeros((rows, c.shape[1]))
+    out[: c.shape[0]] = c
+    return out
+
+
 class _State:
-    """Search space with cached A V / M V and incrementally grown
-    projections. Keeping AV and MV current costs memory but makes both
-    the projection updates and every residual Lanczos sweep free of
-    sparse products."""
+    """The search space as coefficients in one orthonormal basis.
+
+    W (n x D) spans [V, AV, MV, B]: V = W cv, AV = W ca, MV = W cm (cm is
+    cv with an identity mass) and B = W cb, each up to what W leaves out
+    of a column it absorbs (``_W_DROP_TOL`` of its norm). W is the only
+    n-length array kept. The projections are V'AV = cv'ca, V'MV = cv'cm
+    and V'B = cv'cb, and the residual is R = W S W' with the D x D matrix
+    S = ca T cm' + cm T ca' + cb cb'. A truncation rotates the
+    coefficients only; the next extension recompresses W onto the span
+    still in use.
+    """
 
     def __init__(self, problem):
-        n = problem.dimension
-        s = problem.b.shape[1]
         self.problem = problem
-        self.v = np.zeros((n, 0))
-        self.av = np.zeros((n, 0))
-        self.mv = np.zeros((n, 0))
-        self.at = np.zeros((0, 0))
-        self.mt = np.zeros((0, 0))
-        self.bt = np.zeros((0, s))
+        self.w, self.cb = _absorb(np.zeros((problem.dimension, 0)), problem.b)
+        self.cv = self.ca = self.cm = np.zeros((self.w.shape[1], 0))
+        self._stale = False
 
     @property
     def dim(self):
-        return self.v.shape[1]
+        return self.cv.shape[1]
 
-    def extend(self, q):
-        """Append orthonormal columns and grow the projections by their
-        new blocks only."""
-        if q.shape[1] == 0:
+    @property
+    def v(self):
+        return self.w @ self.cv
+
+    def _set_blocks(self, blocks):
+        self.cb, self.cv, self.ca = blocks[:3]
+        self.cm = self.cv if self.problem.identity_mass else blocks[3]
+
+    def _blocks(self):
+        own = [self.cb, self.cv, self.ca]
+        return own if self.problem.identity_mass else own + [self.cm]
+
+    def absorb(self, x):
+        """Grow W by what the n-length columns ``x`` add to its span and
+        return their coefficients in the grown W."""
+        q, c = _absorb(self.w, x)
+        if q.shape[1]:
+            self.w = np.concatenate([self.w, q], axis=1)
+            self._set_blocks([_pad_rows(blk, c.shape[0]) for blk in self._blocks()])
+        return c
+
+    def _recompress(self, y):
+        """Shrink W onto the span of the coefficient blocks and of the
+        pending expansion ``y``; returns y in the new basis."""
+        blocks = self._blocks() + [y]
+        u, c = _absorb(np.zeros((self.w.shape[1], 0)), np.concatenate(blocks, axis=1))
+        self.w = self.w @ u
+        cuts = np.cumsum([blk.shape[1] for blk in blocks])[:-1]
+        *own, y = np.split(c, cuts, axis=1)
+        self._set_blocks(own)
+        self._stale = False
+        return y
+
+    def extend(self, y):
+        """Append the basis columns W y (``y`` orthonormal and orthogonal
+        to cv) and absorb their images under A and M."""
+        if self._stale:
+            y = self._recompress(y)
+        k = y.shape[1]
+        if k == 0:
             return
         p = self.problem
-        aq = p.apply_a(q)
-        mq = p.apply_m(q)
-        d0 = self.dim
-        k = q.shape[1]
-        at = np.empty((d0 + k, d0 + k))
-        mt = np.empty((d0 + k, d0 + k))
-        at[:d0, :d0] = self.at
-        mt[:d0, :d0] = self.mt
-        at[:d0, d0:] = self.v.T @ aq
-        mt[:d0, d0:] = self.v.T @ mq
-        v_new = np.concatenate([self.v, q], axis=1)
-        av_new = np.concatenate([self.av, aq], axis=1)
+        q = self.w @ y
+        images = p.apply_a(q)
+        if not p.identity_mass:
+            images = np.concatenate([images, p.apply_m(q)], axis=1)
+        c = self.absorb(images)
+        y = _pad_rows(y, c.shape[0])
+        self.cv = np.concatenate([self.cv, y], axis=1)
+        self.ca = np.concatenate([self.ca, c[:, :k]], axis=1)
         if p.identity_mass:
-            mv_new = v_new
+            self.cm = self.cv
         else:
-            mv_new = np.concatenate([self.mv, mq], axis=1)
-        at[d0:, :] = q.T @ av_new
-        mt[d0:, :] = q.T @ mv_new
-        self.v, self.av, self.mv = v_new, av_new, mv_new
-        self.at, self.mt = at, mt
-        self.bt = np.concatenate([self.bt, q.T @ p.b], axis=0)
+            self.cm = np.concatenate([self.cm, c[:, k:]], axis=1)
 
     def truncate(self, t, restart_tol):
-        """Keep the eigenmodes of ``t`` above restart_tol; rotate the basis
-        and congruence-update the projections instead of recomputing them.
-        Returns the core diag(kept eigenvalues) matching the new basis."""
+        """Keep the eigenmodes of ``t`` above restart_tol by rotating the
+        coefficients. Returns the core diag(kept eigenvalues) matching the
+        new basis."""
         lam, u = _eigen_trim(t, restart_tol)
-        self.v = self.v @ u
-        self.av = self.av @ u
-        self.mv = self.v if self.problem.identity_mass else self.mv @ u
-        self.at = u.T @ self.at @ u
-        self.mt = u.T @ self.mt @ u
-        self.bt = u.T @ self.bt
+        self._stale = self._stale or lam.size < self.dim
+        self.cv = self.cv @ u
+        self.ca = self.ca @ u
+        self.cm = self.cv if self.problem.identity_mass else self.cm @ u
         return np.diag(lam)
+
+    def projected(self):
+        cvt = self.cv.T
+        return ProjectedSystem(cvt @ self.ca, cvt @ self.cm, cvt @ self.cb)
+
+    def residual(self, t, m):
+        """(||R||_2, lam, y): the residual norm of the iterate with core
+        ``t`` and its top-m eigenpairs by |lambda|, eigenvectors as
+        coefficients in W (R = W S W' with S = ca T cm' + cm T ca' + cb cb')."""
+        s = self.cb @ self.cb.T
+        g = self.ca @ t @ self.cm.T
+        s += g + g.T
+        lam, y = np.linalg.eigh(s)
+        order = np.argsort(-np.abs(lam), kind="stable")[:m]
+        return float(np.abs(lam).max(initial=0.0)), lam[order], y[:, order]
+
+    def expansion(self, y, inverse):
+        """New orthonormal V coefficients from residual eigenvectors ``y``:
+        their part off V, or A^{-1} of it for the inverse variant."""
+        y, kept = orthonormalize(y, against=self.cv)
+        if inverse and kept:
+            z = self.problem.apply_a_inverse(self.w @ y)
+            y, kept = orthonormalize(self.absorb(z), against=self.cv)
+        return y, kept
 
 
 def _initial_space(problem, opts):
@@ -366,21 +452,17 @@ def _initial_space(problem, opts):
     kind = opts.initial_space
     if kind == "random":
         rng = np.random.default_rng(opts.rng_seed)
-        w = rng.standard_normal((n, min(opts.expand_m, n)))
-    elif kind == "given":
+        return rng.standard_normal((n, min(opts.expand_m, n)))
+    if kind == "given":
         w = as_matrix(opts.initial_v)
         if w.shape[0] != n:
             raise ValueError(
                 f"initial space has {w.shape[0]} rows, problem has {n}"
             )
-    elif kind == "columns_of_b":
-        w = problem.b
-    else:  # inverse_applied_to_b
-        w = problem.apply_a_inverse(problem.b)
-    q, kept = orthonormalize(w)
-    if kept == 0 and kind != "given":
-        raise ValueError(f"initial space {kind!r} produced no independent columns")
-    return q
+        return w
+    if kind == "columns_of_b":
+        return problem.b
+    return problem.apply_a_inverse(problem.b)  # inverse_applied_to_b
 
 
 def solve(problem, opts=None, callback=None):
@@ -402,16 +484,21 @@ def solve(problem, opts=None, callback=None):
     -------
     (LowRankSolution, SolveReport). The returned core is positive
     definite on its range: nonpositive and rounding-level modes are
-    trimmed on exit. ``converged`` is True when the final residual
-    estimate met the tolerance and its Lanczos run converged, even if the
-    budget ended the run before the confirming second pass.
+    trimmed on exit. Each sweep's rho = ||R||_2 / ||B||_2^2 is exact up
+    to the basis drop tolerance (module docstring). ``converged`` is True
+    when the final rho met the tolerance, even if the budget ended the
+    run before the confirming second pass.
     """
     if opts is None:
         opts = SolverOptions()
     mvps0, imvps0 = problem.mvps, problem.imvps
     report = SolveReport()
     state = _State(problem)
-    q = _initial_space(problem, opts)
+    y, kept = orthonormalize(state.absorb(_initial_space(problem, opts)))
+    if kept == 0 and opts.initial_space != "given":
+        raise ValueError(
+            f"initial space {opts.initial_space!r} produced no independent columns"
+        )
 
     bb_floor = max(np.linalg.norm(problem.b, 2) ** 2, np.finfo(float).tiny)
     restart_tol = opts.restart_tol
@@ -422,24 +509,21 @@ def solve(problem, opts=None, callback=None):
     conv_now = False
 
     for it in range(1, opts.max_iters + 1):
-        if state.dim + q.shape[1] > DIMENSION_CAP:
+        if state.dim + y.shape[1] > DIMENSION_CAP:
             termination = "space_cap"
             break
-        state.extend(q)
+        state.extend(y)
         report.max_space_dim = max(report.max_space_dim, state.dim)
 
-        t = solve_projected(ProjectedSystem(state.at, state.mt, state.bt))
-        est = _lanczos_residual(
-            state.av, state.mv, t, problem.b, opts.expand_m,
-            opts.rng_seed + 7919 * it,
-        )
-        rho = est.norm2 / bb_floor
+        t = solve_projected(state.projected())
+        norm2, _, y = state.residual(t, opts.expand_m)
+        rho = norm2 / bb_floor
         report.residual_history.append((it, rho))
         report.iterations = it
         if callback is not None:
             callback(it, rho, state.dim)
 
-        conv_now = rho < opts.tol and est.lanczos_converged
+        conv_now = rho < opts.tol
         if conv_now and converged_once:
             termination = "converged"
             break
@@ -452,10 +536,7 @@ def solve(problem, opts=None, callback=None):
             if conv_now:
                 converged_once = True
 
-        vecs = est.eigenvectors
-        if opts.variant == "inverse":
-            vecs = problem.apply_a_inverse(vecs)
-        q, kept = orthonormalize(vecs, against=state.v)
+        y, kept = state.expansion(y, opts.variant == "inverse")
         if kept == 0 and not conv_now:
             if opts.restart_tol_growth > 1.0:
                 # grow the retention tolerance from the core's own scale so
@@ -470,10 +551,11 @@ def solve(problem, opts=None, callback=None):
 
     # trim nonpositive and rounding-level modes so the returned core is PD
     # on its range; this perturbs C at rounding level only
-    sol = LowRankSolution(state.v, t)
-    lam, u = _eigen_trim(sol.t, 0.0)
-    if lam.size < sol.rank:
-        sol = LowRankSolution(sol.v @ u, np.diag(lam))
+    cv = state.cv
+    lam, u = _eigen_trim(t, 0.0)
+    if lam.size < t.shape[0]:
+        cv, t = cv @ u, np.diag(lam)
+    sol = LowRankSolution(state.w @ cv, t)
 
     report.converged = bool(conv_now)
     report.termination_reason = termination

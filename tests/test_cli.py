@@ -329,6 +329,13 @@ class TestValidate:
                     str(solution), "--oracle", "none")
         assert code == 2
 
+    def test_nothing_to_check_is_refused_before_reading(self, tmp_path, capsys):
+        missing = tmp_path / "absent"
+        code = _run("validate", "--problem", str(missing / "problem"),
+                    "--solution", str(missing / "solution"), "--oracle", "none")
+        assert code == 2
+        assert "nothing to validate" in capsys.readouterr().err
+
     def test_dimension_mismatch_is_usage_error(self, tmp_path):
         problem = _generate_dae(tmp_path)
         other = tmp_path / "other"

@@ -5,6 +5,8 @@ hand-verified expected values here rather than relying on any shared code
 path with the solver.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -17,6 +19,7 @@ from rails.errors import (
 )
 from rails.dae import partition
 from rails.oracles import (
+    KRON_SIZE_CAP,
     SimulationConfig,
     empirical_covariance,
     euler_maruyama_covariance,
@@ -152,6 +155,22 @@ class TestKronSolveDae:
         # Constraint rows of A C must vanish: A11 C11 + A12 C21 = 0.
         ac = a.toarray() @ c
         assert np.abs(ac[alg]).max() <= 1e-8 * max(np.abs(c).max(), 1.0)
+
+    @pytest.mark.parametrize("oracle", [kron_solve, kron_solve_dae])
+    def test_size_cap_precedes_densifying(self, oracle):
+        # A sparse pencil past every cap is refused before any n x n array
+        # is formed.
+        n = 10 * KRON_SIZE_CAP + 1
+        a = -sparse.identity(n, format="csr")
+        b = np.ones((n, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleSizeError):
+                oracle(a, sparse.identity(n, format="csr"), b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 20
 
 
 def _as_system(a, m, b):
