@@ -18,6 +18,7 @@ problem back to the full space.
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .errors import (
     ForcingOnConstraintError,
@@ -165,10 +166,12 @@ def schur_apply(sys, x):
 def recover_full_covariance(sys, sol):
     """Lift a reduced low-rank solution back to the full variable set.
 
-    The algebraic block of every basis vector is -A11^{-1} A12 v, after
-    which the stacked factor W is re-orthonormalized by a QR so the result
-    keeps the orthonormal-basis form: with W = Q R, the core becomes
-    R T R'. Pass-through systems are returned unchanged.
+    The algebraic block of every basis vector is -A11^{-1} A12 v. The
+    stacked factor W is built in one column-major n x r array and
+    re-orthonormalized in place by LAPACK's Householder QR (``dgeqrf``,
+    then ``dorgqr``), so the result keeps the orthonormal-basis form: with
+    W = Q R, the core becomes R T R'. No second n x r array is made.
+    Pass-through systems are returned unchanged.
     """
     if sys.is_pass_through():
         return sol
@@ -178,10 +181,22 @@ def recover_full_covariance(sys, sol):
             f"solution lives on {v.shape[0]} rows, expected the "
             f"{sys.n_differential} differential rows"
         )
-    top = -sys.solve_a11(sys.a12 @ v)
-    w = np.zeros((sys.dimension, sol.rank))
-    w[sys.algebraic_rows, :] = top
-    w[sys.differential_rows, :] = v
-    q, r = np.linalg.qr(w)
+    w = np.empty((sys.dimension, sol.rank), order="F")
+    w[sys.algebraic_rows] = -sys.solve_a11(sys.a12 @ v)
+    w[sys.differential_rows] = v
+    w, tau, _ = _in_place(dgeqrf, w)
+    r = np.triu(w[: sol.rank])
+    q, _ = _in_place(dorgqr, w, tau)
     t = r @ sol.t @ r.T
     return LowRankSolution(q, 0.5 * (t + t.T))
+
+
+def _in_place(routine, a, *args):
+    """Run a LAPACK routine over the column-major array ``a`` in place,
+    with the workspace its own query asks for; returns its outputs but
+    ``info``."""
+    work = routine(a, *args, lwork=-1, overwrite_a=True)[-2]
+    *out, info = routine(a, *args, lwork=int(work[0]), overwrite_a=True)
+    if info < 0:  # an invalid argument, never the data
+        raise ValueError(f"LAPACK {routine.__name__}: argument {-info} is invalid")
+    return out

@@ -31,6 +31,8 @@ __all__ = [
 
 KRON_SIZE_CAP = 60
 SIMULATION_SIZE_CAP = 500
+# steps whose noise is drawn, and whose kept states are reduced, at once
+_CHUNK_STEPS = 8192
 
 
 def _densify(a):
@@ -171,7 +173,10 @@ def euler_maruyama_covariance(sys, cfg):
     accumulates the mean-removed sample covariance of every
     ``sample_stride``-th state. The drift and noise maps are densified
     once up front (the oracle is capped at 500 differential variables),
-    so each step is two small dense products.
+    so each step is two small dense products. The kept states are reduced
+    chunk by chunk to their count, mean and centred scatter, which are
+    merged pairwise (Chan, Golub & LeVeque 1979), so memory holds one
+    chunk of samples, not all of them.
 
     Returns (covariance, samples_used). Raises SimulationBlowupError with
     the step index when the trajectory norm passes 1e12.
@@ -202,16 +207,15 @@ def euler_maruyama_covariance(sys, cfg):
     rng = np.random.default_rng(cfg.rng_seed)
     gain = np.eye(nd) + cfg.dt * drift
     sqdt = np.sqrt(cfg.dt)
-    n_keep = (cfg.n_steps - cfg.burn_in + cfg.sample_stride - 1) // cfg.sample_stride
-    samples = np.empty((n_keep, nd))
+    rows = np.empty((min(_CHUNK_STEPS, cfg.n_steps - cfg.burn_in), nd))
+    moments = (0, 0.0, 0.0)
     x = np.zeros(nd)
-    chunk = 8192
-    kept = 0
     step = 0
     s_cols = noise.shape[1]
     while step < cfg.n_steps:
-        count = min(chunk, cfg.n_steps - step)
+        count = min(_CHUNK_STEPS, cfg.n_steps - step)
         kicks = sqdt * (noise @ rng.standard_normal((s_cols, count)))
+        kept = 0
         for i in range(count):
             x = gain @ x + kicks[:, i]
             step += 1
@@ -219,17 +223,44 @@ def euler_maruyama_covariance(sys, cfg):
             if not nsq <= 1e24:  # catches NaN as well
                 raise SimulationBlowupError(step, np.sqrt(nsq))
             if step > cfg.burn_in and (step - cfg.burn_in - 1) % cfg.sample_stride == 0:
-                samples[kept] = x
+                rows[kept] = x
                 kept += 1
-    return empirical_covariance(samples[:kept]), kept
+        if kept:
+            moments = _merge_moments(moments, _moments(rows[:kept]))
+    return _covariance(moments), moments[0]
+
+
+def _moments(samples):
+    """(count, mean, centred scatter) of row-wise samples, by two passes."""
+    mean = samples.mean(axis=0)
+    x = samples - mean
+    return samples.shape[0], mean, x.T @ x
+
+
+def _merge_moments(a, b):
+    """The moments of the union of two sample sets from their own: the
+    pairwise update of Chan, Golub & LeVeque (1979). (0, 0.0, 0.0) stands
+    for the empty set."""
+    na, mean_a, scatter_a = a
+    nb, mean_b, scatter_b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    scatter = scatter_a + scatter_b + np.outer(delta, delta * (na * nb / n))
+    return n, mean_a + delta * (nb / n), scatter
+
+
+def _covariance(moments):
+    """Unbiased covariance (divisor n - 1) from the moments of n samples."""
+    n, _, scatter = moments
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    c = scatter / (n - 1)
+    return 0.5 * (c + c.T)
 
 
 def empirical_covariance(samples):
     """Unbiased sample covariance of row-wise samples (divisor N - 1)."""
     samples = as_matrix(samples)
-    n = samples.shape[0]
-    if n < 2:
+    if samples.shape[0] < 2:
         raise ValueError("need at least 2 samples")
-    x = samples - samples.mean(axis=0)
-    c = x.T @ x / (n - 1)
-    return 0.5 * (c + c.T)
+    return _covariance(_moments(samples))

@@ -18,6 +18,14 @@ absorbs, at most 1e-10 of that column's norm (``_W_DROP_TOL``): each
 such cut, and each recompression of W after a trim, moves ||R||_2 by at
 most about 2e-10 (2 ||AV||_F ||T||_2 ||MV||_F + ||B||_F^2).
 
+W is the only n-length array a solve keeps, and no sweep copies it. It
+lives in one column-major n x capacity buffer: new directions are written
+into its spare columns, a recompression rotates it in place a block of
+rows at a time, and when it is full it grows geometrically by a realloc
+(``_State``). A solve's footprint is its inputs, W's buffer (8 n bytes a
+column; at most about twice the largest basis D_max, and at least 16
+columns) and a few n-length columns of the sweep at hand.
+
 The space grows by the top residual eigenvectors, projected off V (or by
 A^{-1} applied to that projection, for the inverse variant), until the
 relative spectral norm ||R||_2 / ||B||_2^2 drops below the tolerance
@@ -57,6 +65,13 @@ __all__ = [
 # norm: rounding level, so the coefficients stand for V, AV, MV and B to
 # about 1e-10 relative.
 _W_DROP_TOL = 1e-10
+
+# W's buffer starts with room for max(_W_MIN_COLUMNS, 2 s) columns (s the
+# columns of B) and grows by the factor _W_GROWTH when full (``_State``); a
+# recompression rotates it in place _ROW_BLOCK rows at a time.
+_W_MIN_COLUMNS = 16
+_W_GROWTH = 2
+_ROW_BLOCK = 4096
 
 
 class LyapunovProblem:
@@ -289,25 +304,28 @@ def restart(sol, restart_tol):
     return LowRankSolution(sol.v @ u, np.diag(lam))
 
 
-def _absorb(w, x):
-    """Split the columns of ``x`` into their part in span ``w`` (orthonormal
-    columns) and new orthonormal directions.
+def _absorb(buf, p, x):
+    """Orthonormalize the columns of ``x`` against ``buf[:, :p]``
+    (orthonormal columns), writing the new directions into the spare
+    columns ``buf[:, p:]``, of which there must be at least as many as
+    ``x`` has columns.
 
-    Returns (q, c): [w, q] has orthonormal columns and x = [w, q] c, up to
-    what each column leaves out, at most ``_W_DROP_TOL`` of its norm. Each
-    column is projected off ``w`` and the directions accepted before it
-    twice, and a third time when the second pass still removed more than
-    half of the remainder (Daniel, Gragg, Kaufman & Stewart 1976). With a
-    single pass, a projected pencil of the acceptance oracle sweep came
-    out unstable.
+    Returns (kept, c): buf[:, :p + kept] has orthonormal columns and
+    x = buf[:, :p + kept] c, up to what each column leaves out, at most
+    ``_W_DROP_TOL`` of its norm. Each column is projected off the first p
+    columns and the directions accepted before it twice, and a third time
+    when the second pass still removed more than half of the remainder
+    (Daniel, Gragg, Kaufman & Stewart 1976). With a single pass, a
+    projected pencil of the acceptance oracle sweep came out unstable.
     """
-    x = np.array(x, dtype=np.float64, order="F")
-    p, k = w.shape[1], x.shape[1]
+    k = x.shape[1]
     c = np.zeros((p + k, k))
+    w = buf[:, :p]
     kept = 0
     for j in range(k):
-        v = x[:, j]
-        bases = ((0, w), (p, x[:, :kept])) if kept else ((0, w),)
+        v = buf[:, p + kept]
+        v[:] = x[:, j]
+        bases = ((0, w), (p, buf[:, p : p + kept])) if kept else ((0, w),)
         norm0 = norm = np.sqrt(v @ v)
         for npass in range(3):
             for row, basis in bases:
@@ -319,10 +337,10 @@ def _absorb(w, x):
                 break
         if norm <= _W_DROP_TOL * norm0:
             continue
-        x[:, kept] = v / norm
+        v /= norm
         c[p + kept, j] = norm
         kept += 1
-    return x[:, :kept], c[: p + kept]
+    return kept, c[: p + kept]
 
 
 def _pad_rows(c, rows):
@@ -338,19 +356,36 @@ class _State:
 
     W (n x D) spans [V, AV, MV, B]: V = W cv, AV = W ca, MV = W cm (cm is
     cv with an identity mass) and B = W cb, each up to what W leaves out
-    of a column it absorbs (``_W_DROP_TOL`` of its norm). W is the only
-    n-length array kept. The projections are V'AV = cv'ca, V'MV = cv'cm
-    and V'B = cv'cb, and the residual is R = W S W' with the D x D matrix
-    S = ca T cm' + cm T ca' + cb cb'. A truncation rotates the
-    coefficients only; the next extension recompresses W onto the span
-    still in use.
+    of a column it absorbs (``_W_DROP_TOL`` of its norm). The projections
+    are V'AV = cv'ca, V'MV = cv'cm and V'B = cv'cb, and the residual is
+    R = W S W' with the D x D matrix S = ca T cm' + cm T ca' + cb cb'.
+
+    W is the only n-length array kept: ``w`` is the view of the first D
+    columns of one column-major n x capacity buffer. New directions are
+    written into its spare columns. When they run out, the buffer grows
+    by ``_W_GROWTH`` from max(``_W_MIN_COLUMNS``, 2 s) columns through
+    ``ndarray.resize``, a realloc: a buffer with a mapping of its own (a
+    large one) is moved page by page rather than copied. A solve
+    reallocates W about log2(D_max) times and never copies it per sweep.
+    ``resize`` refuses while any view of the buffer is alive, so no array
+    can point into freed memory. A truncation rotates the coefficients
+    only; the next extension recompresses W onto the span still in use,
+    in place.
     """
 
     def __init__(self, problem):
         self.problem = problem
-        self.w, self.cb = _absorb(np.zeros((problem.dimension, 0)), problem.b)
-        self.cv = self.ca = self.cm = np.zeros((self.w.shape[1], 0))
+        s = problem.b.shape[1]
+        self._w_buffer = np.empty(
+            (problem.dimension, max(_W_MIN_COLUMNS, 2 * s)), order="F"
+        )
+        self._cols, self.cb = _absorb(self._w_buffer, 0, problem.b)
+        self.cv = self.ca = self.cm = np.zeros((self._cols, 0))
         self._stale = False
+
+    @property
+    def w(self):
+        return self._w_buffer[:, : self._cols]
 
     @property
     def dim(self):
@@ -370,19 +405,32 @@ class _State:
 
     def absorb(self, x):
         """Grow W by what the n-length columns ``x`` add to its span and
-        return their coefficients in the grown W."""
-        q, c = _absorb(self.w, x)
-        if q.shape[1]:
-            self.w = np.concatenate([self.w, q], axis=1)
+        return their coefficients in the grown W. The buffer is widened
+        first if its spare columns cannot take all of ``x``."""
+        n, capacity = self._w_buffer.shape
+        if self._cols + x.shape[1] > capacity:
+            wider = max(self._cols + x.shape[1], _W_GROWTH * capacity)
+            self._w_buffer.resize((n, wider))
+        kept, c = _absorb(self._w_buffer, self._cols, x)
+        if kept:
+            self._cols += kept
             self._set_blocks([_pad_rows(blk, c.shape[0]) for blk in self._blocks()])
         return c
 
     def _recompress(self, y):
         """Shrink W onto the span of the coefficient blocks and of the
-        pending expansion ``y``; returns y in the new basis."""
+        pending expansion ``y``; returns y in the new basis. W is rotated
+        in place, ``_ROW_BLOCK`` rows at a time."""
         blocks = self._blocks() + [y]
-        u, c = _absorb(np.zeros((self.w.shape[1], 0)), np.concatenate(blocks, axis=1))
-        self.w = self.w @ u
+        x = np.concatenate(blocks, axis=1)
+        u = np.empty((self._cols, x.shape[1]), order="F")
+        kept, c = _absorb(u, 0, x)
+        u = u[:, :kept]
+        w = self.w
+        for i in range(0, w.shape[0], _ROW_BLOCK):
+            rows = w[i : i + _ROW_BLOCK]
+            rows[:, :kept] = rows @ u
+        self._cols = kept
         cuts = np.cumsum([blk.shape[1] for blk in blocks])[:-1]
         *own, y = np.split(c, cuts, axis=1)
         self._set_blocks(own)

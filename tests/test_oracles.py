@@ -21,6 +21,10 @@ from rails.dae import partition
 from rails.oracles import (
     KRON_SIZE_CAP,
     SimulationConfig,
+    _CHUNK_STEPS,
+    _covariance,
+    _merge_moments,
+    _moments,
     empirical_covariance,
     euler_maruyama_covariance,
     kron_solve,
@@ -219,6 +223,23 @@ class TestEulerMaruyama:
         with pytest.raises(OracleSizeError):
             euler_maruyama_covariance(sys, cfg)
 
+    def test_memory_does_not_grow_with_the_samples(self):
+        # The bound is five chunks of states: drawn noise, kicks, kept rows
+        # and their centred copy. Keeping all 30000 kept states (1.9 MB)
+        # and a centred copy of them would pass it.
+        nd = 8
+        sys = _as_system(-np.diag(np.linspace(1.0, 2.0, nd)), np.eye(nd),
+                         np.eye(nd)[:, :2])
+        cfg = SimulationConfig(dt=1e-2, n_steps=30_000, rng_seed=3)
+        tracemalloc.start()
+        try:
+            _, kept = euler_maruyama_covariance(sys, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept == 30_000
+        assert peak < 5 * _CHUNK_STEPS * nd * 8 < 2 * kept * nd * 8
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimulationConfig(dt=0.0, n_steps=10)
@@ -245,3 +266,16 @@ class TestEmpiricalCovariance:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             empirical_covariance(np.ones((1, 4)))
+
+    def test_chunked_moments_match_two_pass(self):
+        # Merging the moments of uneven chunks (one of a single sample)
+        # gives the two-pass covariance of all samples.
+        rng = np.random.default_rng(8)
+        samples = 3.0 + rng.standard_normal((1000, 6)) @ rng.standard_normal((6, 6))
+        moments = (0, 0.0, 0.0)
+        for chunk in np.split(samples, [1, 8, 300, 301, 777]):
+            moments = _merge_moments(moments, _moments(chunk))
+        assert moments[0] == 1000
+        expected = empirical_covariance(samples)
+        got = _covariance(moments)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)

@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -405,13 +407,91 @@ class TestSearchSpaceStorage:
         rng = np.random.default_rng(0)
         y, _ = orthonormalize(state.absorb(rng.standard_normal((n, 3))))
         state.extend(y)
-        assert n_length() == ["w"]
+        assert n_length() == ["_w_buffer"]
         assert (state.cm is state.cv) == (not mass)
         state.truncate(np.diag([2.0, 1.0, 0.0]), 0.0)
-        assert n_length() == ["w"]
+        assert n_length() == ["_w_buffer"]
         state.extend(np.zeros((state.w.shape[1], 0)))  # recompresses W
-        assert n_length() == ["w"]
+        assert n_length() == ["_w_buffer"]
         assert (state.cm is state.cv) == (not mass)
+
+    def test_basis_is_written_in_place(self):
+        # absorb, extend and a recompression write into W's buffer while it
+        # has room; past its capacity it grows and keeps W's columns.
+        n = 100
+        a, _, _ = gen_diffusion(n)
+        state = _State(LyapunovProblem(a, None, np.eye(n)[:, :1]))
+        before = state.w
+        rng = np.random.default_rng(3)
+        y, _ = orthonormalize(state.absorb(rng.standard_normal((n, 3))))
+        assert np.shares_memory(state.w, before)
+        state.extend(y)
+        assert state.w.shape[1] == 7 and np.shares_memory(state.w, before)
+        state.truncate(np.diag([2.0, 1.0, 0.0]), 0.0)
+        state.extend(np.zeros((7, 0)))  # recompresses W
+        assert state.w.shape[1] < 7 and np.shares_memory(state.w, before)
+        del before  # a live view of the buffer would stop it from growing
+        kept = state.w.copy()
+        state.absorb(rng.standard_normal((n, 30)))
+        w = state.w
+        assert w.shape[1] == kept.shape[1] + 30
+        assert np.array_equal(w[:, : kept.shape[1]], kept)
+        assert np.linalg.norm(w.T @ w - np.eye(w.shape[1]), 2) <= 1e-12
+
+    def test_solve_holds_no_second_basis(self, monkeypatch):
+        # At n = 20000 a column is 160 kB. The traced peak of a solve stays
+        # within its largest basis W (D_max columns), a sweep's A-images and
+        # their basis columns (2 expand_m) and the returned V (rank
+        # columns); copying W once a sweep would hold it twice. Here D_max
+        # is 31 and W's buffer has 32 columns; the bound counts the spare
+        # column within the 2 expand_m.
+        n = 20000
+        rng = np.random.default_rng(1)
+        a = sparse.diags([np.full(n - 1, 0.6), -2.0 - rng.uniform(0.0, 1.0, n),
+                          np.full(n - 1, -0.4)], [-1, 0, 1], format="csr")
+        problem = LyapunovProblem(a, None, rng.standard_normal((n, 1)))
+        opts = SolverOptions(tol=1e-9)
+        widths = []
+
+        def record(state, y, extend=_State.extend):
+            extend(state, y)
+            widths.append(state.w.shape[1])
+
+        monkeypatch.setattr(_State, "extend", record)
+        tracemalloc.start()
+        try:
+            sol, report = solve(problem, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        d_max = max(widths)
+        assert d_max <= 32  # W's buffer: 16 columns, doubled once
+        columns = d_max + 2 * opts.expand_m + sol.rank
+        assert peak < columns * n * 8 + (256 << 10)
+
+    def test_recompression_by_row_blocks(self, monkeypatch):
+        # Rotating W in place a few rows at a time gives the W of a
+        # one-block rotation, and it stays orthonormal.
+        n = 150
+        a, _, _ = gen_diffusion(n)
+        rng = np.random.default_rng(5)
+        b, x = rng.standard_normal((n, 2)), rng.standard_normal((n, 4))
+
+        def recompressed():
+            state = _State(LyapunovProblem(a, None, b))
+            y, _ = orthonormalize(state.absorb(x))
+            state.extend(y)
+            state.truncate(np.diag([3.0, 2.0, 1e-3, 0.0]), 0.5)
+            state.extend(np.zeros((state.w.shape[1], 0)))
+            return state.w.copy()
+
+        whole = recompressed()
+        monkeypatch.setattr(rails.solver, "_ROW_BLOCK", 16)
+        blocked = recompressed()
+        assert blocked.shape == whole.shape and whole.shape[1] < 8
+        assert np.abs(blocked - whole).max() <= 1e-14
+        assert np.linalg.norm(blocked.T @ blocked - np.eye(blocked.shape[1]), 2) <= 1e-12
 
 
 def _exact_residual_cases():
