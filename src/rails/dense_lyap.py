@@ -1,20 +1,30 @@
 """Dense solvers for small (projected) Lyapunov equations.
 
 ``solve_standard_dense`` handles F T + T F' + Q = 0 by reducing F to real
-Schur form + LAPACK ``trsyl``, which solves the quasi-triangular equation
-on the Schur factor (Bartels & Stewart, CACM Alg. 432).
+Schur form with LAPACK ``dgees`` and solving the quasi-triangular equation
+on the Schur factor with ``dtrsyl`` (Bartels & Stewart, CACM Alg. 432).
 ``solve_projected`` reduces the generalized equation
-A T M' + M T A' + B B' = 0 to the standard one through a dense LU of M,
-whose condition LAPACK ``gecon`` estimates from the same factors.
+A T M' + M T A' + B B' = 0 to the standard one through a dense LU of M
+(``dgetrf``, then ``dgetrs`` for M^{-1} A and M^{-1} B), whose condition
+``dgecon`` estimates from the same factors.
+
 These run once per outer iteration of the iterative solver, at the size of
-the search space, so plain O(d^3) dense work is the right tool.
+the search space (tens of rows), where the checks and conversions of the
+``scipy.linalg`` wrappers cost as much as the arithmetic. So the routines
+are bound once from ``scipy.linalg.lapack`` and called directly, and the
+inputs are validated once, on entry: ``ProjectedSystem`` and
+``solve_standard_dense`` reject non-finite or misshapen matrices (through
+``as_matrix``), a non-symmetric Q, a singular or terribly conditioned M
+and a non-Hurwitz F. ``dgees`` sizes its workspace by its own query, as
+``scipy.linalg.schur`` does, so the Schur factor is the one that wrapper
+returns. An exactly singular M is reported by ``SingularMatrixError``
+alone: nothing here issues a warning or touches the warning filters.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgecon, dgees, dgetrf, dgetrs, dtrsyl
 
 from .errors import SingularMatrixError, StabilityError
 from .matrices import as_matrix
@@ -23,6 +33,17 @@ __all__ = ["ProjectedSystem", "solve_standard_dense", "solve_projected"]
 
 DIMENSION_CAP = 2000
 _CONDITION_CAP = 1e12
+# np.allclose's default relative tolerance, used by the symmetry check on Q
+_SYMMETRY_RTOL = 1e-5
+
+
+def _no_select(wr, wi):
+    """dgees's eigenvalue selection; unused, as it sorts nothing."""
+
+
+def _check_info(routine, info):
+    if info < 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} rejected argument {-info}")
 
 
 @dataclass
@@ -67,9 +88,16 @@ def solve_standard_dense(f, q):
         raise ValueError("F and Q must be square matrices of equal size")
     if d == 0:
         return np.zeros((0, 0))
-    if not np.allclose(q, q.T, atol=1e-8 * max(1.0, np.abs(q).max())):
+    # np.allclose(q, q.T, atol=1e-8 max(1, max|q|)) on the finite q
+    aq = np.abs(q)
+    atol = 1e-8 * max(1.0, aq.max())
+    if not (np.abs(q - q.T) <= atol + _SYMMETRY_RTOL * aq.T).all():
         raise ValueError("Q must be symmetric")
-    r, u = scipy.linalg.schur(f, output="real")
+    lwork = dgees(_no_select, f, lwork=-1)[-2][0]
+    r, _, _, _, u, _, info = dgees(_no_select, f, lwork=int(lwork))
+    _check_info("dgees", info)
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     # LAPACK standardizes every 2x2 Schur block so that both diagonal
     # entries equal the real part of its eigenvalue pair, so the diagonal
     # carries the real parts of the whole spectrum.
@@ -82,9 +110,8 @@ def solve_standard_dense(f, q):
         )
     qh = u.T @ q @ u
     qh = 0.5 * (qh + qh.T)
-    y, scale, info = scipy.linalg.lapack.dtrsyl(r, r, -qh, tranb="T")
-    if info < 0:
-        raise np.linalg.LinAlgError(f"LAPACK dtrsyl rejected argument {-info}")
+    y, scale, info = dtrsyl(r, r, -qh, tranb="T")
+    _check_info("dtrsyl", info)
     y = (0.5 / scale) * (y + y.T)
     t = u @ y @ u.T
     return 0.5 * (t + t.T)
@@ -107,17 +134,18 @@ def solve_projected(sys):
         )
     if d == 0:
         return np.zeros((0, 0))
-    with warnings.catch_warnings():
-        # An exactly singular M is rejected just below; the LU is still
-        # well defined, so its warning only duplicates that error.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(sys.m)
-    rcond, _ = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(sys.m, 1))
+    lu, piv, info = dgetrf(sys.m)
+    _check_info("dgetrf", info)
+    # An exactly singular M (info > 0) has a zero pivot, so rcond = 0.
+    rcond, info = dgecon(lu, np.abs(sys.m).sum(axis=0).max())
+    _check_info("dgecon", info)
     cond = 1.0 / rcond if rcond > 0.0 else np.inf
     if not np.isfinite(cond) or cond > _CONDITION_CAP:
         raise SingularMatrixError(
             f"projected mass matrix is numerically singular (cond ~ {cond:.3e})"
         )
-    f = scipy.linalg.lu_solve((lu, piv), sys.a)
-    g = scipy.linalg.lu_solve((lu, piv), sys.b)
+    f, info = dgetrs(lu, piv, sys.a)
+    _check_info("dgetrs", info)
+    g, info = dgetrs(lu, piv, sys.b)
+    _check_info("dgetrs", info)
     return solve_standard_dense(f, g @ g.T)

@@ -367,10 +367,12 @@ class _State:
     ``ndarray.resize``, a realloc: a buffer with a mapping of its own (a
     large one) is moved page by page rather than copied. A solve
     reallocates W about log2(D_max) times and never copies it per sweep.
-    ``resize`` refuses while any view of the buffer is alive, so no array
-    can point into freed memory. A truncation rotates the coefficients
-    only; the next extension recompresses W onto the span still in use,
-    in place.
+    ``resize`` refuses while anything else references the buffer (a live
+    view, or a trace or profile hook such as cProfile's), so no array can
+    point into freed memory; the buffer is then copied into a new, wider
+    one, and the old one lives as long as those references. A truncation
+    rotates the coefficients only; the next extension recompresses W onto
+    the span still in use, in place.
     """
 
     def __init__(self, problem):
@@ -410,7 +412,14 @@ class _State:
         n, capacity = self._w_buffer.shape
         if self._cols + x.shape[1] > capacity:
             wider = max(self._cols + x.shape[1], _W_GROWTH * capacity)
-            self._w_buffer.resize((n, wider))
+            try:
+                self._w_buffer.resize((n, wider))
+            except ValueError:
+                # resize refuses while anything else references the
+                # buffer, as a trace or profile hook does
+                buf = np.empty((n, wider), order="F")
+                buf[:, : self._cols] = self.w
+                self._w_buffer = buf
         kept, c = _absorb(self._w_buffer, self._cols, x)
         if kept:
             self._cols += kept

@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import json
 import os
 import subprocess
@@ -247,6 +248,28 @@ class TestSolve:
             b2 = (outs[1] / name).read_bytes()
             assert b1 == b2, name
 
+    def test_solve_under_a_profiler(self, tmp_path):
+        # cProfile, coverage and pdb install a profile or trace hook; with
+        # one active, the basis buffer must still grow past its first 16
+        # columns.
+        problem = _generate_dae(tmp_path, n_diff=60, n_alg=15,
+                                pattern="row-sum", seed=2)
+        solution = tmp_path / "solution"
+        previous = sys.getprofile()
+        sys.setprofile(lambda *args: None)
+        try:
+            code = _run(
+                "solve", "--a", str(problem / "A.mtx"), "--m",
+                str(problem / "M.mtx"), "--b", str(problem / "B.mtx"),
+                "--tol", "1e-10", "--out", str(solution),
+            )
+        finally:
+            sys.setprofile(previous)
+        assert code == 0
+        report = json.loads((solution / "report.json").read_text())
+        assert report["max_space_dim"] > 16
+        assert (solution / "V.mtx").exists()
+
 
 class TestValidate:
     def test_bad_solution_fails(self, tmp_path, capsys):
@@ -467,6 +490,39 @@ class TestEnvironment:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "True"
+
+
+class TestGarbageCollector:
+    def test_argument_list_leaves_the_collector_alone(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        problem = _generate_dae(tmp_path)
+        assert _run(
+            "solve", "--a", str(problem / "A.mtx"), "--m",
+            str(problem / "M.mtx"), "--b", str(problem / "B.mtx"),
+            "--out", str(tmp_path / "solution"),
+        ) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_program_freezes_its_import_heap(self, tmp_path):
+        problem = _generate_dae(tmp_path)
+        argv = [
+            "rails", "solve", "--a", str(problem / "A.mtx"),
+            "--m", str(problem / "M.mtx"), "--b", str(problem / "B.mtx"),
+            "--out", str(tmp_path / "solution"),
+        ]
+        probe = (
+            "import gc, sys\n"
+            "from rails.cli import main\n"
+            f"sys.argv = {argv!r}\n"
+            "code = main()\n"
+            "print(gc.get_freeze_count())\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) > 0
 
 
 class TestEntryPoint:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -199,3 +201,77 @@ class TestProjectedSolve:
         t1 = solve_projected(sys)
         t2 = solve_projected(sys)
         assert np.array_equal(t1, t2)
+
+
+def _wrapper_reference(a, m, b):
+    """The projected solve built from the scipy.linalg wrappers."""
+    lu, piv = scipy.linalg.lu_factor(m)
+    f = scipy.linalg.lu_solve((lu, piv), a)
+    g = scipy.linalg.lu_solve((lu, piv), b)
+    r, u = scipy.linalg.schur(f, output="real")
+    qh = u.T @ (g @ g.T) @ u
+    qh = 0.5 * (qh + qh.T)
+    y, scale, info = scipy.linalg.lapack.dtrsyl(r, r, -qh, tranb="T")
+    assert info == 0
+    y = (0.5 / scale) * (y + y.T)
+    t = u @ y @ u.T
+    return 0.5 * (t + t.T)
+
+
+class TestLapackPath:
+    @pytest.mark.parametrize("d", [1, 2, 7, 40, 74])
+    def test_bitwise_equal_to_wrapper_reference(self, d):
+        rng = np.random.default_rng(100 + d)
+        f = (np.array([[-1.0, 2.0], [-3.0, -1.0]]) if d == 2
+             else random_hurwitz(rng, d))
+        if d > 1:
+            assert np.iscomplex(np.linalg.eigvals(f)).any()
+        b = rng.standard_normal((d, 3))
+        for m in (np.eye(d), np.eye(d) + 0.2 * rng.standard_normal((d, d))):
+            a = m @ f  # M^{-1} A = F up to rounding
+            for arrays in ((a, m, b), (np.asfortranarray(a), m, b)):
+                t = solve_projected(ProjectedSystem(*arrays))
+                assert np.array_equal(t, _wrapper_reference(*arrays))
+
+    def test_exactly_singular_mass_raises_no_warning(self, monkeypatch):
+        # The zero pivot alone gives the error: no warning is issued, and
+        # the warning filters, which all threads share, are left alone.
+        a = -np.eye(3)
+        m = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("warning filters changed")
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filters = list(warnings.filters)
+            with monkeypatch.context() as patch:
+                for name in ("simplefilter", "filterwarnings", "catch_warnings"):
+                    patch.setattr(warnings, name, refuse)
+                with pytest.raises(SingularMatrixError):
+                    solve_projected(ProjectedSystem(a, m, np.ones((3, 1))))
+            assert warnings.filters == filters
+        assert caught == []
+
+    @pytest.mark.parametrize("scale", [0.25, 3.0])
+    def test_symmetry_tolerance_is_allclose(self, scale):
+        # Q passes exactly when np.allclose(Q, Q', atol=1e-8 max(1, max|Q|))
+        # holds, on either side of that tolerance.
+        q = scale * np.array([[1.0, 0.5], [0.5, 2.0]])
+        atol = 1e-8 * max(1.0, scale * 2.0)
+        edge = q[1, 0] + (atol + 1e-5 * q[1, 0])
+        verdicts = set()
+        for step in range(-6, 7):
+            p = q.copy()
+            p[0, 1] = edge
+            for _ in range(abs(step)):
+                p[0, 1] = np.nextafter(p[0, 1], step * np.inf)
+            expected = np.allclose(p, p.T, atol=atol)
+            verdicts.add(expected)
+            if expected:
+                t = solve_standard_dense(-np.eye(2), p)
+                assert np.array_equal(t, t.T)
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    solve_standard_dense(-np.eye(2), p)
+        assert verdicts == {True, False}

@@ -1,8 +1,10 @@
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 
 from rails.dae import partition
@@ -470,6 +472,30 @@ class TestSearchSpaceStorage:
         columns = d_max + 2 * opts.expand_m + sol.rank
         assert peak < columns * n * 8 + (256 << 10)
 
+    @pytest.mark.parametrize("hook", ["trace", "profile"])
+    def test_buffer_grows_under_a_hook(self, hook):
+        # A trace or profile hook (coverage, pdb, cProfile) holds references
+        # that make ndarray.resize refuse; W's buffer is then copied into a
+        # wider one, and the solve is bitwise the one without the hook.
+        n = 500
+        rng = np.random.default_rng(1)
+        a = sparse.diags([np.full(n - 1, 0.6), -2.0 - rng.uniform(0.0, 1.0, n),
+                          np.full(n - 1, -0.4)], [-1, 0, 1], format="csr")
+        b = rng.standard_normal((n, 1))
+        opts = SolverOptions(tol=1e-10)
+        sol, report = solve(LyapunovProblem(a, None, b), opts)
+        assert report.max_space_dim > 16  # past the buffer's first columns
+        set_hook = getattr(sys, "set" + hook)
+        previous = getattr(sys, "get" + hook)()
+        set_hook(lambda *args: None)
+        try:
+            hooked, hooked_report = solve(LyapunovProblem(a, None, b), opts)
+        finally:
+            set_hook(previous)
+        assert np.array_equal(hooked.v, sol.v)
+        assert np.array_equal(hooked.t, sol.t)
+        assert hooked_report.to_json_dict() == report.to_json_dict()
+
     def test_recompression_by_row_blocks(self, monkeypatch):
         # Rotating W in place a few rows at a time gives the W of a
         # one-block rotation, and it stays orthonormal.
@@ -645,6 +671,39 @@ class TestOperationCounts:
             first.mvp_count, first.imvp_count
         )
         assert problem.mvps == 2 * first.mvp_count
+
+
+class TestLapackPath:
+    """The projected solve runs on LAPACK alone, without the scipy.linalg
+    wrappers."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_wrappers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg wrapper called")
+
+        for name in ("schur", "lu_factor", "lu_solve"):
+            monkeypatch.setattr(scipy.linalg, name, refuse)
+
+    @pytest.mark.parametrize("variant", ["standard", "inverse"])
+    @pytest.mark.parametrize("mass", [False, True], ids=["identity", "mass"])
+    def test_solve_converges(self, variant, mass):
+        n = 40
+        a, _, _ = gen_diffusion(n)
+        m = _csr(np.diag(np.linspace(1.0, 2.0, n))) if mass else None
+        b = np.eye(n)[:, ::13]
+        opts = SolverOptions(tol=1e-9, variant=variant, rng_seed=0)
+        sol, report = solve(LyapunovProblem(a, m, b), opts)
+        assert report.converged
+        assert _dense_error(sol, a, m, b) < 1e-7
+
+    def test_solve_dae_converges(self):
+        a, m, sites = gen_dae(25, 8, rng_seed=3)
+        b = gen_forcing(sites, 33, "uncorrelated_columns").b
+        sol, report = solve_dae(a, m, b, SolverOptions(tol=1e-9, rng_seed=3))
+        assert report.converged
+        ref = kron_solve_dae(a, m, b)
+        assert np.linalg.norm(sol.to_dense() - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
 class TestDeterminism:
