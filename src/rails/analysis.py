@@ -86,10 +86,10 @@ def gaussian_logpdf(x, x_star, sol):
         return -np.inf
     if sol.rank == 0:
         return 0.0 if dist == 0 else -np.inf
-    lam, u = np.linalg.eigh(sol.t)
-    if lam.min() <= 0:
+    lam, u = _core_spectrum(sol)
+    if lam[-1] <= 0:
         raise InvalidCovarianceError(
-            f"core eigenvalue {lam.min():.3e} <= 0; density undefined"
+            f"core eigenvalue {lam[-1]:.3e} <= 0; density undefined"
         )
     z = u.T @ y
     r = sol.rank

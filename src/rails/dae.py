@@ -17,7 +17,6 @@ problem back to the full space.
 """
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .errors import (
@@ -26,7 +25,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .lowrank import LowRankSolution
-from .matrices import as_matrix, check_sparse
+from .matrices import _lapack, _splu, as_matrix, check_sparse
 
 __all__ = ["DaeSystem", "partition", "schur_apply", "recover_full_covariance"]
 
@@ -54,24 +53,14 @@ class DaeSystem:
         self.a22 = a[diff][:, diff].tocsr()
         self.m22 = m[diff][:, diff].tocsr()
         self.b2 = as_matrix(b[diff, :])
-        try:
-            self.a11_lu = spla.splu(self.a11.tocsc())
-        except RuntimeError as exc:
-            raise ReductionImpossibleError(
-                f"constraint block A11 ({alg.size} x {alg.size}) could not be "
-                f"factorized: {exc}"
-            ) from exc
+        self.a11_lu = _splu(self.a11, ReductionImpossibleError, f"constraint block "
+                            f"A11 ({alg.size} x {alg.size}) could not be factorized")
         self.m22_is_identity = bool(
             np.all(self.m22.diagonal() == 1.0)
             and self.m22.count_nonzero() == diff.size
         )
         if not self.m22_is_identity:
-            try:
-                spla.splu(self.m22.tocsc())
-            except RuntimeError as exc:
-                raise SingularMatrixError(
-                    f"differential mass block M22 is singular: {exc}"
-                ) from exc
+            _splu(self.m22, SingularMatrixError, "differential mass block M22 is singular")
         self._a_full_lu = None
 
     @property
@@ -109,12 +98,8 @@ class DaeSystem:
         bordered solve with the full A (zero right-hand side on the
         algebraic rows); its LU is computed on first use."""
         if self._a_full_lu is None:
-            try:
-                self._a_full_lu = spla.splu(self.a_full.tocsc())
-            except RuntimeError as exc:
-                raise SingularMatrixError(
-                    f"full operator A is singular, inverse products unavailable: {exc}"
-                ) from exc
+            self._a_full_lu = _splu(self.a_full, SingularMatrixError, "full operator "
+                                    "A is singular, inverse products unavailable")
         x = np.asarray(x, dtype=np.float64)
         rhs = np.zeros((self.dimension,) + x.shape[1:])
         rhs[self.differential_rows] = x
@@ -184,19 +169,9 @@ def recover_full_covariance(sys, sol):
     w = np.empty((sys.dimension, sol.rank), order="F")
     w[sys.algebraic_rows] = -sys.solve_a11(sys.a12 @ v)
     w[sys.differential_rows] = v
-    w, tau, _ = _in_place(dgeqrf, w)
+    w, tau, _, _ = _lapack(dgeqrf, w, query=True, overwrite_a=True)
     r = np.triu(w[: sol.rank])
-    q, _ = _in_place(dorgqr, w, tau)
+    q, _, _ = _lapack(dorgqr, w, tau, query=True, overwrite_a=True)
     t = r @ sol.t @ r.T
     return LowRankSolution(q, 0.5 * (t + t.T))
 
-
-def _in_place(routine, a, *args):
-    """Run a LAPACK routine over the column-major array ``a`` in place,
-    with the workspace its own query asks for; returns its outputs but
-    ``info``."""
-    work = routine(a, *args, lwork=-1, overwrite_a=True)[-2]
-    *out, info = routine(a, *args, lwork=int(work[0]), overwrite_a=True)
-    if info < 0:  # an invalid argument, never the data
-        raise ValueError(f"LAPACK {routine.__name__}: argument {-info} is invalid")
-    return out

@@ -11,7 +11,8 @@ A T M' + M T A' + B B' = 0 to the standard one through a dense LU of M
 These run once per outer iteration of the iterative solver, at the size of
 the search space (tens of rows), where the checks and conversions of the
 ``scipy.linalg`` wrappers cost as much as the arithmetic. So the routines
-are bound once from ``scipy.linalg.lapack`` and called directly, and the
+are bound once from ``scipy.linalg.lapack`` and called directly (through
+``matrices._lapack``: a rejected argument raises ``LinAlgError``), and the
 inputs are validated once, on entry: ``ProjectedSystem`` and
 ``solve_standard_dense`` reject non-finite or misshapen matrices (through
 ``as_matrix``), a non-symmetric Q, a singular or terribly conditioned M
@@ -27,23 +28,16 @@ import numpy as np
 from scipy.linalg.lapack import dgecon, dgees, dgetrf, dgetrs, dtrsyl
 
 from .errors import SingularMatrixError, StabilityError
-from .matrices import as_matrix
+from .matrices import _check_symmetric, _lapack, as_matrix
 
 __all__ = ["ProjectedSystem", "solve_standard_dense", "solve_projected"]
 
 DIMENSION_CAP = 2000
 _CONDITION_CAP = 1e12
-# np.allclose's default relative tolerance, used by the symmetry check on Q
-_SYMMETRY_RTOL = 1e-5
 
 
 def _no_select(wr, wi):
     """dgees's eigenvalue selection; unused, as it sorts nothing."""
-
-
-def _check_info(routine, info):
-    if info < 0:
-        raise np.linalg.LinAlgError(f"LAPACK {routine} rejected argument {-info}")
 
 
 @dataclass
@@ -88,14 +82,8 @@ def solve_standard_dense(f, q):
         raise ValueError("F and Q must be square matrices of equal size")
     if d == 0:
         return np.zeros((0, 0))
-    # np.allclose(q, q.T, atol=1e-8 max(1, max|q|)) on the finite q
-    aq = np.abs(q)
-    atol = 1e-8 * max(1.0, aq.max())
-    if not (np.abs(q - q.T) <= atol + _SYMMETRY_RTOL * aq.T).all():
-        raise ValueError("Q must be symmetric")
-    lwork = dgees(_no_select, f, lwork=-1)[-2][0]
-    r, _, _, _, u, _, info = dgees(_no_select, f, lwork=int(lwork))
-    _check_info("dgees", info)
+    _check_symmetric(q, "Q")
+    r, _, _, _, u, _, info = _lapack(dgees, _no_select, f, query=True)
     if info > 0:
         raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     # LAPACK standardizes every 2x2 Schur block so that both diagonal
@@ -110,8 +98,7 @@ def solve_standard_dense(f, q):
         )
     qh = u.T @ q @ u
     qh = 0.5 * (qh + qh.T)
-    y, scale, info = dtrsyl(r, r, -qh, tranb="T")
-    _check_info("dtrsyl", info)
+    y, scale, _ = _lapack(dtrsyl, r, r, -qh, tranb="T")
     y = (0.5 / scale) * (y + y.T)
     t = u @ y @ u.T
     return 0.5 * (t + t.T)
@@ -134,18 +121,14 @@ def solve_projected(sys):
         )
     if d == 0:
         return np.zeros((0, 0))
-    lu, piv, info = dgetrf(sys.m)
-    _check_info("dgetrf", info)
+    lu, piv, _ = _lapack(dgetrf, sys.m)
     # An exactly singular M (info > 0) has a zero pivot, so rcond = 0.
-    rcond, info = dgecon(lu, np.abs(sys.m).sum(axis=0).max())
-    _check_info("dgecon", info)
+    rcond, _ = _lapack(dgecon, lu, np.abs(sys.m).sum(axis=0).max())
     cond = 1.0 / rcond if rcond > 0.0 else np.inf
     if not np.isfinite(cond) or cond > _CONDITION_CAP:
         raise SingularMatrixError(
             f"projected mass matrix is numerically singular (cond ~ {cond:.3e})"
         )
-    f, info = dgetrs(lu, piv, sys.a)
-    _check_info("dgetrs", info)
-    g, info = dgetrs(lu, piv, sys.b)
-    _check_info("dgetrs", info)
+    f, _ = _lapack(dgetrs, lu, piv, sys.a)
+    g, _ = _lapack(dgetrs, lu, piv, sys.b)
     return solve_standard_dense(f, g @ g.T)

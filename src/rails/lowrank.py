@@ -1,8 +1,6 @@
 """Low-rank symmetric factorizations C = V T V'."""
 
-import numpy as np
-
-from .matrices import as_matrix
+from .matrices import _check_symmetric, as_matrix
 
 __all__ = ["LowRankSolution"]
 
@@ -26,8 +24,7 @@ class LowRankSolution:
             raise ValueError(
                 f"basis has {v.shape[1]} columns but core is {t.shape[0]} x {t.shape[0]}"
             )
-        if not np.allclose(t, t.T, atol=1e-8 * max(1.0, np.abs(t).max(initial=0.0))):
-            raise ValueError("core matrix must be symmetric")
+        _check_symmetric(t, "core matrix")
         self.v = v
         self.t = 0.5 * (t + t.T)
 

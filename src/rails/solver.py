@@ -14,9 +14,11 @@ basis W of that span and the coefficients of V, AV, MV and B in it, so
 R = W S W' with a small symmetric S, and ||R||_2 and the dominant residual
 eigenpairs come from a dense eigendecomposition of S: exact, with no
 random start. The only error is what W leaves out of a column it
-absorbs, at most 1e-10 of that column's norm (``_W_DROP_TOL``): each
-such cut, and each recompression of W after a trim, moves ||R||_2 by at
-most about 2e-10 (2 ||AV||_F ||T||_2 ||MV||_F + ||B||_F^2).
+absorbs, at most 1e-10 of that column's norm (``_W_DROP_TOL``, which W
+passes to the Gram-Schmidt kernel it shares with ``orthonormalize``,
+``matrices._gram_schmidt``): each such cut, and each recompression of W
+after a trim, moves ||R||_2 by at most about 2e-10
+(2 ||AV||_F ||T||_2 ||MV||_F + ||B||_F^2).
 
 W is the only n-length array a solve keeps, and no sweep copies it. It
 lives in one column-major n x capacity buffer: new directions are written
@@ -39,13 +41,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .dae import DaeSystem, partition, recover_full_covariance
 from .dense_lyap import DIMENSION_CAP, ProjectedSystem, solve_projected
 from .errors import SingularMatrixError
 from .lowrank import LowRankSolution
-from .matrices import as_matrix, check_sparse, orthonormalize
+from .matrices import _gram_schmidt, _splu, as_matrix, check_sparse, orthonormalize
 # perfbench/tracing.py wraps the name rails.solver.lanczos_topk, which
 # nothing here calls any more; it stays bound until that tracer changes.
 from .matrices import lanczos_topk  # noqa: F401
@@ -159,12 +160,8 @@ class LyapunovProblem:
             y = self._a_op.solve(x)
         else:
             if self._a_lu is None:
-                try:
-                    self._a_lu = spla.splu(self._a_mat.tocsc())
-                except RuntimeError as exc:
-                    raise SingularMatrixError(
-                        f"A is singular, inverse products unavailable: {exc}"
-                    ) from exc
+                self._a_lu = _splu(self._a_mat, SingularMatrixError,
+                                   "A is singular, inverse products unavailable")
             y = self._a_lu.solve(np.asarray(x, dtype=np.float64))
         self._count(x, 0, 1)
         return y
@@ -304,45 +301,6 @@ def restart(sol, restart_tol):
     return LowRankSolution(sol.v @ u, np.diag(lam))
 
 
-def _absorb(buf, p, x):
-    """Orthonormalize the columns of ``x`` against ``buf[:, :p]``
-    (orthonormal columns), writing the new directions into the spare
-    columns ``buf[:, p:]``, of which there must be at least as many as
-    ``x`` has columns.
-
-    Returns (kept, c): buf[:, :p + kept] has orthonormal columns and
-    x = buf[:, :p + kept] c, up to what each column leaves out, at most
-    ``_W_DROP_TOL`` of its norm. Each column is projected off the first p
-    columns and the directions accepted before it twice, and a third time
-    when the second pass still removed more than half of the remainder
-    (Daniel, Gragg, Kaufman & Stewart 1976). With a single pass, a
-    projected pencil of the acceptance oracle sweep came out unstable.
-    """
-    k = x.shape[1]
-    c = np.zeros((p + k, k))
-    w = buf[:, :p]
-    kept = 0
-    for j in range(k):
-        v = buf[:, p + kept]
-        v[:] = x[:, j]
-        bases = ((0, w), (p, buf[:, p : p + kept])) if kept else ((0, w),)
-        norm0 = norm = np.sqrt(v @ v)
-        for npass in range(3):
-            for row, basis in bases:
-                h = basis.T @ v
-                v -= basis @ h
-                c[row : row + h.size, j] += h
-            before, norm = norm, np.sqrt(v @ v)
-            if npass and norm >= 0.5 * before:
-                break
-        if norm <= _W_DROP_TOL * norm0:
-            continue
-        v /= norm
-        c[p + kept, j] = norm
-        kept += 1
-    return kept, c[: p + kept]
-
-
 def _pad_rows(c, rows):
     """``c`` with zero rows appended up to ``rows``: its coefficients in a
     basis grown by new columns."""
@@ -378,10 +336,10 @@ class _State:
     def __init__(self, problem):
         self.problem = problem
         s = problem.b.shape[1]
-        self._w_buffer = np.empty(
+        self._w_buffer = buf = np.empty(
             (problem.dimension, max(_W_MIN_COLUMNS, 2 * s)), order="F"
         )
-        self._cols, self.cb = _absorb(self._w_buffer, 0, problem.b)
+        self._cols, self.cb = _gram_schmidt(buf[:, :0], buf, problem.b, _W_DROP_TOL)
         self.cv = self.ca = self.cm = np.zeros((self._cols, 0))
         self._stale = False
 
@@ -420,7 +378,7 @@ class _State:
                 buf = np.empty((n, wider), order="F")
                 buf[:, : self._cols] = self.w
                 self._w_buffer = buf
-        kept, c = _absorb(self._w_buffer, self._cols, x)
+        kept, c = _gram_schmidt(self.w, self._w_buffer[:, self._cols :], x, _W_DROP_TOL)
         if kept:
             self._cols += kept
             self._set_blocks([_pad_rows(blk, c.shape[0]) for blk in self._blocks()])
@@ -433,7 +391,7 @@ class _State:
         blocks = self._blocks() + [y]
         x = np.concatenate(blocks, axis=1)
         u = np.empty((self._cols, x.shape[1]), order="F")
-        kept, c = _absorb(u, 0, x)
+        kept, c = _gram_schmidt(u[:, :0], u, x, _W_DROP_TOL)
         u = u[:, :kept]
         w = self.w
         for i in range(0, w.shape[0], _ROW_BLOCK):

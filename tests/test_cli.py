@@ -7,8 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sparse
 
+import rails.dae
 import rails.solver
 from rails import cli, errors, mmio, testproblems
 from rails.cli import main
@@ -185,6 +187,40 @@ class TestSolve:
             "--out", str(tmp_path / "out"),
         )
         assert code == 4
+
+    @pytest.mark.parametrize("name", ["A", "B"])
+    def test_complex_input_is_usage_error(self, tmp_path, capsys, name):
+        # the imaginary part used to be dropped with only a ComplexWarning
+        problem = tmp_path / "problem"
+        assert _run("generate", "--kind", "diffusion", "--n", "30",
+                    "--out", str(problem)) == 0
+        path = problem / f"{name}.mtx"
+        data = scipy.io.mmread(path)
+        scipy.io.mmwrite(path, data * (1.0 + 0.5j))
+        solution = tmp_path / "solution"
+        code = _run(
+            "solve", "--a", str(problem / "A.mtx"), "--m",
+            str(problem / "M.mtx"), "--b", str(problem / "B.mtx"),
+            "--out", str(solution),
+        )
+        assert code == 2
+        assert "must be real" in capsys.readouterr().err
+        assert not solution.exists()
+
+    def test_rejected_lapack_argument_is_structural_error(self, tmp_path,
+                                                          monkeypatch, capsys):
+        def dgeqrf(a, lwork=None, overwrite_a=False):
+            return a, np.zeros(1), np.ones(1), -1
+
+        monkeypatch.setattr(rails.dae, "dgeqrf", dgeqrf)
+        problem = _generate_dae(tmp_path)
+        code = _run(
+            "solve", "--a", str(problem / "A.mtx"), "--m",
+            str(problem / "M.mtx"), "--b", str(problem / "B.mtx"),
+            "--out", str(tmp_path / "solution"),
+        )
+        assert code == 4
+        assert "dgeqrf rejected argument 1" in capsys.readouterr().err
 
     def test_inverse_variant_defaults_to_inverse_start(self, tmp_path):
         problem = _generate_dae(tmp_path)

@@ -4,7 +4,13 @@ import scipy.linalg
 import scipy.sparse as sparse
 from scipy.sparse.linalg import LinearOperator
 
-from rails.matrices import as_matrix, check_sparse, lanczos_topk, orthonormalize
+from rails.matrices import (
+    _gram_schmidt,
+    as_matrix,
+    check_sparse,
+    lanczos_topk,
+    orthonormalize,
+)
 
 
 class TestInputChecks:
@@ -18,6 +24,19 @@ class TestInputChecks:
     def test_three_dimensional_input_rejected(self):
         with pytest.raises(ValueError, match="ndim=3"):
             as_matrix(np.zeros((2, 2, 2)))
+
+    def test_complex_values_rejected(self):
+        # even with a zero imaginary part: casting would drop it silently
+        with pytest.raises(ValueError, match="must be real"):
+            check_sparse(sparse.csr_matrix(np.array([[1.0, 2.0j]])))
+        with pytest.raises(ValueError, match="must be real"):
+            as_matrix(np.array([[1.0 + 0.0j]]))
+        with pytest.raises(ValueError, match="must be real"):
+            as_matrix([1.0, 1j])
+
+    def test_float64_matrix_returned_uncopied(self):
+        m = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        assert as_matrix(m) is m
 
 
 class TestOrthonormalize:
@@ -93,6 +112,53 @@ class TestOrthonormalize:
         orthonormalize(w, against=base)
         assert np.array_equal(w, w_copy)
         assert np.array_equal(base, base_copy)
+
+
+class TestGramSchmidt:
+    """The kernel behind ``orthonormalize`` and the solver's basis W."""
+
+    @pytest.mark.parametrize("p", [0, 5])
+    def test_coefficients_reconstruct_the_input(self, p):
+        rng = np.random.default_rng(11)
+        against = np.linalg.qr(rng.standard_normal((40, p)))[0]
+        x = rng.standard_normal((40, 6))
+        x[:, 3] = x[:, 0] - 2.0 * x[:, 1]  # dependent: dropped
+        if p:
+            x[:, 4] = against @ rng.standard_normal(p)  # inside against
+        out = np.empty((40, 6), order="F")
+        kept, c = _gram_schmidt(against, out, x, 1e-10)
+        assert kept == (4 if p else 5)
+        basis = np.hstack([against, out[:, :kept]])
+        assert c.shape == (p + kept, 6)
+        assert np.abs(basis.T @ basis - np.eye(p + kept)).max() <= 1e-13
+        error = np.linalg.norm(x - basis @ c, axis=0)
+        assert np.all(error <= 1e-10 * np.linalg.norm(x, axis=0))
+
+    @pytest.mark.parametrize("drop_tol, kept_expected", [(1e-10, 1), (1e-8, 0)])
+    def test_drop_tolerance(self, drop_tol, kept_expected):
+        # a column leaving 1e-9 of its norm off ``against``
+        rng = np.random.default_rng(12)
+        against = np.linalg.qr(rng.standard_normal((30, 4)))[0]
+        off = rng.standard_normal(30)
+        off -= against @ (against.T @ off)
+        off /= np.linalg.norm(off)
+        inside = against @ rng.standard_normal(4)
+        x = (inside / np.linalg.norm(inside) + 1e-9 * off)[:, None]
+        out = np.empty((30, 1), order="F")
+        kept, c = _gram_schmidt(against, out, x, drop_tol)
+        assert kept == kept_expected
+        assert c.shape == (4 + kept_expected, 1)
+        if kept:
+            assert abs(abs(out[:, 0] @ off) - 1.0) <= 1e-6
+
+    def test_inputs_unmodified(self):
+        rng = np.random.default_rng(13)
+        against = np.linalg.qr(rng.standard_normal((25, 3)))[0]
+        x = rng.standard_normal((25, 4))
+        against_copy, x_copy = against.copy(), x.copy()
+        _gram_schmidt(against, np.empty((25, 4), order="F"), x, 1e-10)
+        assert np.array_equal(against, against_copy)
+        assert np.array_equal(x, x_copy)
 
 
 class TestLanczos:

@@ -13,6 +13,7 @@ from rails.errors import ForcingOnConstraintError, SingularMatrixError
 from rails.lowrank import LowRankSolution
 from rails.matrices import orthonormalize
 from rails.oracles import SimulationConfig, kron_solve, kron_solve_dae, residual_matrix
+import rails.dae
 import rails.solver
 from rails.solver import (
     LyapunovProblem,
@@ -220,6 +221,16 @@ class TestProblemValidation:
     def test_shapes_rejected(self, a, m, b, message):
         with pytest.raises(ValueError, match=message):
             LyapunovProblem(_csr(a), None if m is None else _csr(m), b)
+
+    def test_complex_input_rejected(self):
+        a, _, _ = gen_diffusion(10)
+        b = np.ones((10, 1))
+        for args in ((a.astype(complex), None, b), (a, a.astype(complex), b),
+                     (a, None, b + 0j)):
+            with pytest.raises(ValueError, match="must be real"):
+                LyapunovProblem(*args)
+        with pytest.raises(ValueError, match="must be real"):
+            solve_dae(a, sparse.identity(10, format="csr"), b * 1j)
 
     def test_singular_sparse_a_has_no_inverse_products(self):
         problem = LyapunovProblem(_csr(np.ones((2, 2))), None, np.ones((2, 1)))
@@ -873,6 +884,19 @@ class TestSolveDae:
         b = np.array([[1.0], [1.0]])
         with pytest.raises(ForcingOnConstraintError):
             solve_dae(a, m, b)
+
+    def test_rejected_lapack_argument_is_a_linalg_error(self, monkeypatch):
+        # a LAPACK code for an invalid argument (info < 0) in the recovery
+        # is a numerical breakdown (exit 4 from ``rails solve``), not a
+        # usage error
+        def dgeqrf(a, lwork=None, overwrite_a=False):
+            return a, np.zeros(1), np.ones(1), -1
+
+        monkeypatch.setattr(rails.dae, "dgeqrf", dgeqrf)
+        a, m, sites = gen_dae(20, 6, rng_seed=2)
+        b = gen_forcing(sites, 26, "row_sum_vector").b
+        with pytest.raises(np.linalg.LinAlgError, match="dgeqrf rejected argument 1"):
+            solve_dae(a, m, b, SolverOptions(tol=1e-8, rng_seed=2))
 
     def test_report_rank_reflects_full_space_factor(self):
         a, m, sites = gen_dae(20, 6, rng_seed=2)
