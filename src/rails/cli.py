@@ -219,6 +219,9 @@ def _cmd_validate(args):
             raise ValueError(f"{flag} must be in [0, inf), got {tol}")
     if args.oracle == "none" and not args.simulate:
         raise ValueError("nothing to validate: oracle disabled and --simulate not set")
+    if args.simulate:
+        cfg = SimulationConfig(dt=args.dt, n_steps=args.steps, burn_in=args.burn_in,
+                               sample_stride=args.stride, rng_seed=args.seed)
     a = mmio.load_sparse(os.path.join(args.problem, "A.mtx"))
     m = mmio.load_sparse(os.path.join(args.problem, "M.mtx"))
     b = mmio.load_dense(os.path.join(args.problem, "B.mtx"))
@@ -244,13 +247,6 @@ def _cmd_validate(args):
         )
     if args.simulate:
         sys_ = partition(a, m, b)
-        cfg = SimulationConfig(
-            dt=args.dt,
-            n_steps=args.steps,
-            burn_in=args.burn_in,
-            sample_stride=args.stride,
-            rng_seed=args.seed,
-        )
         c_emp, used = euler_maruyama_covariance(sys_, cfg)
         v = sol.v[sys_.differential_rows]
         c22 = v @ sol.t @ v.T

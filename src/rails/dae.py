@@ -25,7 +25,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .lowrank import LowRankSolution
-from .matrices import _lapack, _splu, as_matrix, check_sparse
+from .matrices import _check_pencil, _lapack, _splu, as_matrix, check_sparse
 
 __all__ = ["DaeSystem", "partition", "schur_apply", "recover_full_covariance"]
 
@@ -37,15 +37,16 @@ class DaeSystem:
     Attributes of interest: ``algebraic_rows`` / ``differential_rows``
     (index arrays into the original ordering), the four A blocks, ``m22``
     and ``m22_is_identity``, ``b2``, and ``a11_lu`` (sparse LU of A11).
-    ``apply`` and ``solve`` act with S and S^{-1} on vectors of length
-    ``n_differential``. A pencil without algebraic rows is the same
-    reduction with an empty (0 x 0) A11, so S is A.
+    ``apply`` (or ``@``) and ``solve`` act with S and S^{-1} on vectors of
+    length ``n_differential``; ``shape`` is S's. A pencil without algebraic
+    rows is the same reduction with an empty (0 x 0) A11, so S is A.
     """
 
     def __init__(self, a, m, b, algebraic_rows, differential_rows):
         self.a_full = a
         self.algebraic_rows = algebraic_rows
         self.differential_rows = differential_rows
+        self.shape = (differential_rows.size, differential_rows.size)
         alg, diff = algebraic_rows, differential_rows
         self.a11 = a[alg][:, alg].tocsr()
         self.a12 = a[alg][:, diff].tocsr()
@@ -93,6 +94,8 @@ class DaeSystem:
         """S x through ``schur_apply``."""
         return schur_apply(self, x)
 
+    __matmul__ = apply
+
     def solve(self, x):
         """S^{-1} x for a vector or the columns of a matrix, through a
         bordered solve with the full A (zero right-hand side on the
@@ -109,33 +112,36 @@ class DaeSystem:
 def partition(a, m, b):
     """Split (A, M, B) into algebraic and differential parts.
 
-    Rows of M with no nonzero entry are algebraic. B must vanish on those
-    rows: white noise cannot force a constraint. With no algebraic rows A11
-    is empty and S is A. A singular M22 raises ``SingularMatrixError``
-    (the simulation oracle solves with it); an identity M22 is recognized
-    and not factored.
+    Rows of M with no nonzero entry are algebraic, and B must vanish on
+    those rows (``_check_forcing``). With no algebraic rows A11 is empty
+    and S is A. A singular M22 raises ``SingularMatrixError`` (the
+    simulation oracle solves with it); an identity M22 is recognized and
+    not factored.
     """
     a = check_sparse(a)
     m = check_sparse(m)
     b = as_matrix(b)
-    n = a.shape[0]
-    if a.shape != (n, n) or m.shape != (n, n):
-        raise ValueError("A and M must be square matrices of the same size")
-    if b.shape[0] != n:
-        raise ValueError(f"B has {b.shape[0]} rows, expected {n}")
+    n = _check_pencil(a, m, b)
     row_max = np.zeros(n)
     mco = m.tocoo()
     np.maximum.at(row_max, mco.row, np.abs(mco.data))
     algebraic = np.flatnonzero(row_max == 0.0)
     differential = np.flatnonzero(row_max > 0.0)
-    bad = np.abs(b[algebraic, :]).max(initial=0.0)
+    _check_forcing(b, algebraic)
+    return DaeSystem(a, m, b, algebraic, differential)
+
+
+def _check_forcing(b, algebraic_rows):
+    """Raise ForcingOnConstraintError unless B vanishes on the algebraic
+    rows: white noise cannot force a constraint."""
+    on_rows = np.abs(b[algebraic_rows, :])
+    bad = on_rows.max(initial=0.0)
     if bad > 0.0:
-        rows = algebraic[np.abs(b[algebraic, :]).max(axis=1) > 0.0]
+        rows = algebraic_rows[on_rows.max(axis=1) > 0.0]
         raise ForcingOnConstraintError(
             f"B has entries of magnitude up to {bad:.3e} on algebraic "
             f"rows {rows[:5].tolist()}; noise cannot act on constraints"
         )
-    return DaeSystem(a, m, b, algebraic, differential)
 
 
 def schur_apply(sys, x):
@@ -172,6 +178,5 @@ def recover_full_covariance(sys, sol):
     w, tau, _, _ = _lapack(dgeqrf, w, query=True, overwrite_a=True)
     r = np.triu(w[: sol.rank])
     q, _, _ = _lapack(dorgqr, w, tau, query=True, overwrite_a=True)
-    t = r @ sol.t @ r.T
-    return LowRankSolution(q, 0.5 * (t + t.T))
+    return LowRankSolution(q, r @ sol.t @ r.T)
 

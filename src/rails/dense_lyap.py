@@ -15,11 +15,12 @@ are bound once from ``scipy.linalg.lapack`` and called directly (through
 ``matrices._lapack``: a rejected argument raises ``LinAlgError``), and the
 inputs are validated once, on entry: ``ProjectedSystem`` and
 ``solve_standard_dense`` reject non-finite or misshapen matrices (through
-``as_matrix``), a non-symmetric Q, a singular or terribly conditioned M
-and a non-Hurwitz F. ``dgees`` sizes its workspace by its own query, as
-``scipy.linalg.schur`` does, so the Schur factor is the one that wrapper
-returns. An exactly singular M is reported by ``SingularMatrixError``
-alone: nothing here issues a warning or touches the warning filters.
+``as_matrix`` and, for the pencil, ``_check_pencil``), a non-symmetric Q,
+a singular or terribly conditioned M and a non-Hurwitz F. ``dgees`` sizes
+its workspace by its own query, as ``scipy.linalg.schur`` does, so the
+Schur factor is the one that wrapper returns. An exactly singular M is
+reported by ``SingularMatrixError`` alone: nothing here issues a warning
+or touches the warning filters.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.linalg.lapack import dgecon, dgees, dgetrf, dgetrs, dtrsyl
 
 from .errors import SingularMatrixError, StabilityError
-from .matrices import _check_symmetric, _lapack, as_matrix
+from .matrices import _check_pencil, _check_symmetric, _lapack, as_matrix
 
 __all__ = ["ProjectedSystem", "solve_standard_dense", "solve_projected"]
 
@@ -52,13 +53,7 @@ class ProjectedSystem:
         self.a = as_matrix(self.a)
         self.m = as_matrix(self.m)
         self.b = as_matrix(self.b)
-        d = self.a.shape[0]
-        if self.a.shape != (d, d) or self.m.shape != (d, d):
-            raise ValueError("A and M must be square and of equal size")
-        if self.b.shape[0] != d:
-            raise ValueError(
-                f"B has {self.b.shape[0]} rows, expected {d}"
-            )
+        _check_pencil(self.a, self.m, self.b)
 
 
 def solve_standard_dense(f, q):

@@ -1,5 +1,6 @@
 """Shared matrix kernels, one routine per job: input validation (finite
-real values only), Gram-Schmidt with deflation (``_gram_schmidt``, public
+real values only, and ``_check_pencil``, the shape rule of every (A, M, B)
+entry point), Gram-Schmidt with deflation (``_gram_schmidt``, public
 as ``orthonormalize``; the solver's basis W calls it with a drop tolerance
 of its own), a guarded sparse LU (``_splu``), LAPACK calls (``_lapack``),
 the symmetry rule (``_check_symmetric``) and a Lanczos eigensolver for
@@ -43,6 +44,19 @@ def as_matrix(a):
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError("matrix values must be finite")
     return m
+
+
+def _check_pencil(a, m, b):
+    """The shape rule of a pencil (A, M, B), returning n: A is n x n, M is
+    n x n unless None (the identity), B has n rows; else ValueError."""
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("A must be square")
+    if m is not None and m.shape != (n, n):
+        raise ValueError("M must match A in size")
+    if b.shape[0] != n:
+        raise ValueError(f"B has {b.shape[0]} rows, expected {n}")
+    return n
 
 
 def _check_symmetric(t, name):

@@ -3,8 +3,11 @@
 Everything here solves the same equations as the production path by a
 different method: Kronecker vectorization with a dense LU, dense block
 recovery, and a stochastic Euler-Maruyama integrator whose sample
-covariance estimates the stationary covariance directly. The first two
-share no code with the solver. The integrator takes ``partition``'s
+covariance estimates the stationary covariance directly. Their input
+rules are the solver's own (``matrices._check_pencil``,
+``dae._check_forcing``), so they refuse what it refuses, with its errors.
+Their arithmetic is not: the first two classify the rows of M and recover
+the constraint blocks densely. The integrator takes ``partition``'s
 ``DaeSystem`` and forms its drift through ``schur_apply``, so it checks
 the iteration and the recovery but not the Schur complement itself.
 These are deliberately brute force and size-capped.
@@ -16,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .dae import schur_apply
+from .dae import _check_forcing, schur_apply
 from .errors import NoUniqueSolutionError, OracleSizeError, SimulationBlowupError
-from .matrices import as_matrix
+from .matrices import _check_pencil, as_matrix
 
 __all__ = [
     "kron_solve",
@@ -60,10 +63,7 @@ def kron_solve(a, m, b):
     a = _densify(a)
     m = _densify(m)
     b = as_matrix(b)
-    if a.shape != (n, n) or m.shape != (n, n):
-        raise ValueError("A and M must be square matrices of equal size")
-    if b.shape[0] != n:
-        raise ValueError(f"B has {b.shape[0]} rows, expected {n}")
+    _check_pencil(a, m, b)
     lhs = np.kron(m, a) + np.kron(a, m)
     rhs = -(b @ b.T).reshape(-1, order="F")
     try:
@@ -98,6 +98,7 @@ def kron_solve_dae(a, m, b):
     are cheap by comparison and tolerate a somewhat larger full size.
 
     Returns the dense n x n covariance in the original row ordering.
+    Forcing on an algebraic row raises ForcingOnConstraintError.
     """
     n = np.shape(a)[0]
     if n > 10 * KRON_SIZE_CAP:
@@ -108,9 +109,11 @@ def kron_solve_dae(a, m, b):
     a = _densify(a)
     m = _densify(m)
     b = as_matrix(b)
+    _check_pencil(a, m, b)
     row_max = np.abs(m).max(axis=1, initial=0.0)
     alg = np.flatnonzero(row_max == 0.0)
     diff = np.flatnonzero(row_max > 0.0)
+    _check_forcing(b, alg)
     if diff.size > KRON_SIZE_CAP:
         raise OracleSizeError(
             f"vectorization oracle is capped at {KRON_SIZE_CAP} differential "
@@ -140,6 +143,7 @@ def residual_matrix(a, m, b, c):
     a = _densify(a)
     m = _densify(m)
     b = as_matrix(b)
+    _check_pencil(a, m, b)
     c = as_matrix(c)
     return a @ c @ m.T + m @ c @ a.T + b @ b.T
 

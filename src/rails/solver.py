@@ -46,7 +46,7 @@ from .dae import DaeSystem, partition, recover_full_covariance
 from .dense_lyap import DIMENSION_CAP, ProjectedSystem, solve_projected
 from .errors import SingularMatrixError
 from .lowrank import LowRankSolution
-from .matrices import _gram_schmidt, _splu, as_matrix, check_sparse, orthonormalize
+from .matrices import _check_pencil, _gram_schmidt, _splu, as_matrix, check_sparse, orthonormalize
 # perfbench/tracing.py wraps the name rails.solver.lanczos_topk, which
 # nothing here calls any more; it stays bound until that tracer changes.
 from .matrices import lanczos_topk  # noqa: F401
@@ -105,29 +105,17 @@ class LyapunovProblem:
 
     def __init__(self, a, m, b):
         if isinstance(a, DaeSystem):
-            self._a_op = a
-            self._a_mat = None
-            n = a.n_differential
+            self._a_cost, self._a_solve = a.apply_cost, a.solve
         else:
-            self._a_mat = check_sparse(a)
-            self._a_op = None
-            n = self._a_mat.shape[0]
-            if self._a_mat.shape != (n, n):
-                raise ValueError("A must be square")
+            a = check_sparse(a)
+            self._a_cost, self._a_solve = (1, 0), self._factor_a
+        self._a = a
         self.identity_mass = m is None
-        if m is None:
-            self._m_mat = None
-        else:
-            self._m_mat = check_sparse(m)
-            if self._m_mat.shape != (n, n):
-                raise ValueError("M must match A in size")
+        self._m_mat = None if m is None else check_sparse(m)
         self.b = as_matrix(b)
-        if self.b.shape[0] != n:
-            raise ValueError(f"B has {self.b.shape[0]} rows, expected {n}")
+        self.dimension = _check_pencil(a, self._m_mat, self.b)
         if self.b.shape[1] < 1:
             raise ValueError("B must have at least one column")
-        self.dimension = n
-        self._a_lu = None
         self.mvps = 0
         self.imvps = 0
 
@@ -136,13 +124,15 @@ class LyapunovProblem:
         self.mvps += mvps * columns
         self.imvps += imvps * columns
 
+    def _factor_a(self, x):
+        """First inverse product with a sparse A: factorize, then use the LU."""
+        self._a_solve = _splu(self._a, SingularMatrixError,
+                              "A is singular, inverse products unavailable").solve
+        return self._a_solve(x)
+
     def apply_a(self, x):
-        if self._a_op is not None:
-            y = self._a_op.apply(x)
-            self._count(x, *self._a_op.apply_cost)
-            return y
-        y = self._a_mat @ x
-        self._count(x, 1, 0)
+        y = self._a @ x
+        self._count(x, *self._a_cost)
         return y
 
     def apply_m(self, x):
@@ -156,13 +146,7 @@ class LyapunovProblem:
 
     def apply_a_inverse(self, x):
         """A^{-1} x, available for sparse A and DAE systems."""
-        if self._a_op is not None:
-            y = self._a_op.solve(x)
-        else:
-            if self._a_lu is None:
-                self._a_lu = _splu(self._a_mat, SingularMatrixError,
-                                   "A is singular, inverse products unavailable")
-            y = self._a_lu.solve(np.asarray(x, dtype=np.float64))
+        y = self._a_solve(np.asarray(x, dtype=np.float64))
         self._count(x, 0, 1)
         return y
 

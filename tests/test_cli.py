@@ -307,7 +307,67 @@ class TestSolve:
         assert (solution / "V.mtx").exists()
 
 
+def _alter_b(change):
+    def alter(problem, algebraic):
+        b = mmio.load_dense(problem / "B.mtx")
+        mmio.save_dense(problem / "B.mtx", change(b, algebraic))
+    return alter
+
+
+def _force_a_constraint(b, algebraic):
+    b = b.copy()
+    b[algebraic[0], 0] = 1.0
+    return b
+
+
+def _shrink_mass(problem, algebraic):
+    m = mmio.load_sparse(problem / "M.mtx")
+    mmio.save_sparse(problem / "M.mtx", m[:-1, :-1])
+
+
+# One altered input file of a solved problem, and the exit code that both
+# rails solve and rails validate give for it.
+_MALFORMED_PROBLEMS = {
+    "b-3-rows-short": (_alter_b(lambda b, alg: b[:-3]), 2),
+    "b-3-rows-long": (_alter_b(lambda b, alg: np.vstack([b, np.zeros((3, b.shape[1]))])), 2),
+    "b-on-algebraic-row": (_alter_b(_force_a_constraint), 4),
+    "m-one-short": (_shrink_mass, 2),
+}
+
+
 class TestValidate:
+    @pytest.mark.parametrize("case", list(_MALFORMED_PROBLEMS))
+    def test_malformed_problem_exits_as_solve_does(self, tmp_path, capsys, case):
+        problem = _generate_dae(tmp_path, n_diff=20, n_alg=5, seed=1)
+        solution = tmp_path / "solution"
+        paths = ("--a", str(problem / "A.mtx"), "--m", str(problem / "M.mtx"),
+                 "--b", str(problem / "B.mtx"))
+        assert _run("solve", *paths, "--tol", "1e-10", "--out", str(solution)) == 0
+        alter, expected = _MALFORMED_PROBLEMS[case]
+        m = mmio.load_sparse(problem / "M.mtx")
+        alter(problem, np.flatnonzero(abs(m).sum(axis=1).A1 == 0.0))
+        capsys.readouterr()
+        code = _run("validate", "--problem", str(problem), "--solution", str(solution))
+        assert code == expected
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert _run("solve", *paths, "--out", str(tmp_path / "again")) == expected
+
+    @pytest.mark.parametrize("options", [
+        ("--steps", "10", "--burn-in", "100"),
+        ("--dt", "0"),
+    ], ids=["burn-in-past-steps", "zero-dt"])
+    def test_simulation_options_are_refused_before_reading(self, tmp_path, capsys,
+                                                          options):
+        missing = tmp_path / "absent"
+        code = _run("validate", "--problem", str(missing / "problem"),
+                    "--solution", str(missing / "solution"), "--simulate", *options)
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must" in err and "absent" not in err
+
     def test_bad_solution_fails(self, tmp_path, capsys):
         problem = _generate_dae(tmp_path)
         solution = tmp_path / "solution"

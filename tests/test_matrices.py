@@ -4,6 +4,8 @@ import scipy.linalg
 import scipy.sparse as sparse
 from scipy.sparse.linalg import LinearOperator
 
+from rails.dae import partition
+from rails.dense_lyap import ProjectedSystem
 from rails.matrices import (
     _gram_schmidt,
     as_matrix,
@@ -11,6 +13,8 @@ from rails.matrices import (
     lanczos_topk,
     orthonormalize,
 )
+from rails.oracles import kron_solve, kron_solve_dae, residual_matrix
+from rails.solver import LyapunovProblem
 
 
 class TestInputChecks:
@@ -37,6 +41,46 @@ class TestInputChecks:
     def test_float64_matrix_returned_uncopied(self):
         m = np.asfortranarray(np.arange(6.0).reshape(3, 2))
         assert as_matrix(m) is m
+
+
+# Every entry point that takes a pencil (A, M, B), given as dense arrays.
+_PENCIL_ENTRY_POINTS = {
+    "partition": partition,
+    "LyapunovProblem": LyapunovProblem,
+    "kron_solve": kron_solve,
+    "kron_solve_dae": kron_solve_dae,
+    "ProjectedSystem": ProjectedSystem,
+    "residual_matrix": lambda a, m, b: residual_matrix(a, m, b, np.eye(3)),
+}
+
+# A stable pencil of order 3 with one part malformed, and the one message
+# every entry point refuses it with.
+_MALFORMED_PENCILS = {
+    "a-not-square": ((np.ones((3, 4)), np.eye(3), np.ones((3, 1))), "A must be square"),
+    "m-size": ((-np.eye(3), np.eye(2), np.ones((3, 1))), "M must match A in size"),
+    "b-too-few-rows": ((-np.eye(3), np.eye(3), np.ones((2, 1))), "B has 2 rows, expected 3"),
+    "b-too-many-rows": ((-np.eye(3), np.eye(3), np.ones((4, 1))), "B has 4 rows, expected 3"),
+}
+
+
+class TestPencilContract:
+    @pytest.mark.parametrize("entry", list(_PENCIL_ENTRY_POINTS))
+    @pytest.mark.parametrize("case", list(_MALFORMED_PENCILS))
+    def test_one_contract_one_answer(self, case, entry):
+        (a, m, b), message = _MALFORMED_PENCILS[case]
+        with pytest.raises(ValueError) as info:
+            _PENCIL_ENTRY_POINTS[entry](a, m, b)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    def test_dae_operator_checks_the_mass_size(self):
+        # row 0 is algebraic, so the operator S is 2 x 2
+        sys = partition(sparse.csr_matrix(-np.eye(3)), sparse.diags([0.0, 1.0, 1.0]),
+                        np.array([[0.0], [1.0], [1.0]]))
+        assert sys.shape == (2, 2)
+        with pytest.raises(ValueError) as info:
+            LyapunovProblem(sys, sparse.identity(3, format="csr"), sys.b2)
+        assert str(info.value) == "M must match A in size"
 
 
 class TestOrthonormalize:

@@ -13,6 +13,7 @@ import scipy.sparse as sparse
 
 from conftest import random_hurwitz
 from rails.errors import (
+    ForcingOnConstraintError,
     NoUniqueSolutionError,
     OracleSizeError,
     SimulationBlowupError,
@@ -132,6 +133,16 @@ class TestKronSolveDae:
         v = 1.0 / 7.0
         expected = v * np.array([[0.25, -0.5], [-0.5, 1.0]])
         assert np.allclose(c, expected, atol=1e-14)
+
+    def test_forcing_on_a_constraint_rejected_as_partition_does(self):
+        a = sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, -3.0]]))
+        m = sparse.csr_matrix(np.diag([0.0, 1.0]))
+        b = np.array([[0.5], [1.0]])
+        with pytest.raises(ForcingOnConstraintError, match=r"rows \[0\]") as oracle:
+            kron_solve_dae(a, m, b)
+        with pytest.raises(ForcingOnConstraintError) as solver:
+            partition(a, m, b)
+        assert str(oracle.value) == str(solver.value)
 
     def test_matches_plain_kron_without_constraints(self):
         rng = np.random.default_rng(7)
