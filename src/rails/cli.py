@@ -20,8 +20,9 @@ Run as a program (``rails`` or ``python -m rails.cli``; ``main`` then reads
 hundreds of thousands of objects the numpy and scipy imports leave behind
 then stay out of every garbage collection, including the ones interpreter
 shutdown runs, which otherwise took about 0.1 s of each process (2-core
-VM). A call with an explicit argument list, as from a test or another
-program, changes no collector state.
+VM). It also fixes glibc's mmap threshold (``_fix_mmap_threshold``). A
+call with an explicit argument list, as from a test or another program,
+changes no collector or allocator state.
 """
 
 import argparse
@@ -284,9 +285,10 @@ def _cmd_analyze(args):
 
 def main(argv=None):
     if argv is None:
-        # a process of its own: the import-time heap lives until exit
+        # a process of its own: the import-time heap lives until exit, and
+        # the allocator is ours to set
         gc.freeze()
-    _fix_mmap_threshold()
+        _fix_mmap_threshold()
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {

@@ -48,10 +48,12 @@ class DaeSystem:
         self.differential_rows = differential_rows
         self.shape = (differential_rows.size, differential_rows.size)
         alg, diff = algebraic_rows, differential_rows
-        self.a11 = a[alg][:, alg].tocsr()
-        self.a12 = a[alg][:, diff].tocsr()
-        self.a21 = a[diff][:, alg].tocsr()
-        self.a22 = a[diff][:, diff].tocsr()
+        # each row group of A is sliced once, and freed once its blocks are cut
+        self.a11, self.a12, self.a21, self.a22 = (
+            rows[:, cols].tocsr()
+            for rows in (a[r] for r in (alg, diff))
+            for cols in (alg, diff)
+        )
         self.m22 = m[diff][:, diff].tocsr()
         self.b2 = as_matrix(b[diff, :])
         self.a11_lu = _splu(self.a11, ReductionImpossibleError, f"constraint block "

@@ -37,6 +37,7 @@ hard problems. Trims keep the eigenmodes of the core above the retention
 tolerance and above a rounding-level floor relative to the largest mode.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -156,8 +157,11 @@ class SolverOptions:
     """Tuning knobs, and the one place their defaults are stated (``rails
     solve`` passes on only the options it is given): always expand by 3,
     a loose 1e-2 relative residual target, lossless restarts every 50
-    sweeps. An ``initial_space`` of None becomes "inverse_applied_to_b"
-    (A^{-1} B) for the inverse variant and "random" otherwise."""
+    sweeps. An ``initial_space`` of None becomes "given" when
+    ``initial_v`` is set (a warm start, as from the previous point of a
+    continuation), else "inverse_applied_to_b" (A^{-1} B) for the inverse
+    variant and "random" otherwise. ``initial_v`` with any other space is
+    an error."""
 
     expand_m: int = 3
     max_iters: int = 1000
@@ -179,15 +183,18 @@ class SolverOptions:
             raise ValueError("tol must be positive and finite")
         if self.restart_period < 1:
             raise ValueError("restart_period must be >= 1")
-        if not 0 <= self.restart_tol < np.inf:
-            raise ValueError("restart_tol must be >= 0 and finite")
+        _check_restart_tol(self.restart_tol)
         if not 1 <= self.restart_tol_growth < np.inf:
             raise ValueError("restart_tol_growth must be >= 1 and finite")
         if self.variant not in ("standard", "inverse"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.initial_space is None:
-            inverse = self.variant == "inverse"
-            self.initial_space = "inverse_applied_to_b" if inverse else "random"
+            if self.initial_v is not None:
+                self.initial_space = "given"
+            elif self.variant == "inverse":
+                self.initial_space = "inverse_applied_to_b"
+            else:
+                self.initial_space = "random"
         if self.initial_space not in (
             "random",
             "given",
@@ -197,6 +204,17 @@ class SolverOptions:
             raise ValueError(f"unknown initial space {self.initial_space!r}")
         if self.initial_space == "given" and self.initial_v is None:
             raise ValueError("initial_space='given' requires initial_v")
+        if self.initial_space != "given" and self.initial_v is not None:
+            raise ValueError(
+                f"initial_v conflicts with initial_space={self.initial_space!r}; "
+                f"leave initial_space unset or 'given' for a warm start"
+            )
+
+
+def _check_restart_tol(restart_tol):
+    """The retention tolerance rule of ``SolverOptions`` and ``restart``."""
+    if not 0 <= restart_tol < np.inf:
+        raise ValueError("restart_tol must be >= 0 and finite")
 
 
 @dataclass
@@ -236,10 +254,12 @@ def residual_norm_and_vectors(problem, sol, m):
 
     Forms A V and M V once (2 d applications) and computes the residual
     exactly in an orthonormal basis of span[V, AV, MV, B], the routine the
-    solve loop uses (see the module docstring for its accuracy). Returns
-    min(m, n) pairs; past the rank of R they have eigenvalue 0 and
-    coordinate-derived eigenvectors.
+    solve loop uses (see the module docstring for its accuracy). ``m`` is
+    a non-negative integer. Returns min(m, n) pairs; past the rank of R
+    they have eigenvalue 0 and coordinate-derived eigenvectors.
     """
+    if not isinstance(m, numbers.Integral) or m < 0:
+        raise ValueError(f"m must be a non-negative integer, got {m!r}")
     if sol.dimension != problem.dimension:
         raise ValueError("solution and problem dimensions differ")
     state = _State(problem)
@@ -270,8 +290,10 @@ def restart(sol, restart_tol):
     rotated onto them, so the result has a diagonal positive core.
     Discarding changes C by at most the sum of dropped eigenvalue
     magnitudes; with restart_tol = 0 only nonpositive and rounding-level
-    modes go. An empty result (everything discarded) is returned with a warning.
+    modes go. An empty result (everything discarded) is returned with a
+    warning. ``restart_tol`` must be >= 0 and finite, as in ``SolverOptions``.
     """
+    _check_restart_tol(restart_tol)
     if sol.rank == 0:
         return sol
     lam, u = _eigen_trim(sol.t, restart_tol)
@@ -287,20 +309,21 @@ def restart(sol, restart_tol):
 
 def _pad_rows(c, rows):
     """``c`` with zero rows appended up to ``rows``: its coefficients in a
-    basis grown by new columns."""
-    out = np.zeros((rows, c.shape[1]))
-    out[: c.shape[0]] = c
+    basis grown by new columns (each plane of a stack of them)."""
+    out = np.zeros(c.shape[:-2] + (rows, c.shape[-1]))
+    out[..., : c.shape[-2], :] = c
     return out
 
 
 class _State:
     """The search space as coefficients in one orthonormal basis.
 
-    W (n x D) spans [V, AV, MV, B]: V = W cv, AV = W ca, MV = W cm (cm is
-    cv with an identity mass) and B = W cb, each up to what W leaves out
-    of a column it absorbs (``_W_DROP_TOL`` of its norm). The projections
-    are V'AV = cv'ca, V'MV = cv'cm and V'B = cv'cb, and the residual is
-    R = W S W' with the D x D matrix S = ca T cm' + cm T ca' + cb cb'.
+    W (n x D) spans [V, AV, MV, B]: V = W cv, AV = W ca, MV = W cm and
+    B = W cb, each up to what W leaves out of a column it absorbs
+    (``_W_DROP_TOL`` of its norm). cv, ca and cm are the planes of one
+    (planes x D x d) array ``_c``; with M = I it has two, and cm is cv's.
+    The projections are V'AV = cv'ca, V'MV = cv'cm and V'B = cv'cb, and
+    the residual is R = W S W' with S = ca T cm' + cm T ca' + cb cb'.
 
     W is the only n-length array kept: ``w`` is the view of the first D
     columns of one column-major n x capacity buffer. New directions are
@@ -324,7 +347,9 @@ class _State:
             (problem.dimension, max(_W_MIN_COLUMNS, 2 * s)), order="F"
         )
         self._cols, self.cb = _gram_schmidt(buf[:, :0], buf, problem.b, _W_DROP_TOL)
-        self.cv = self.ca = self.cm = np.zeros((self._cols, 0))
+        planes = 2 if problem.identity_mass else 3
+        self._c = np.zeros((planes, self._cols, 0))
+        self._m = 2 if planes == 3 else 0  # MV's plane: V's own when M = I
         self._stale = False
 
     @property
@@ -332,20 +357,24 @@ class _State:
         return self._w_buffer[:, : self._cols]
 
     @property
+    def cv(self):
+        return self._c[0]
+
+    @property
+    def ca(self):
+        return self._c[1]
+
+    @property
+    def cm(self):
+        return self._c[self._m]
+
+    @property
     def dim(self):
-        return self.cv.shape[1]
+        return self._c.shape[2]
 
     @property
     def v(self):
         return self.w @ self.cv
-
-    def _set_blocks(self, blocks):
-        self.cb, self.cv, self.ca = blocks[:3]
-        self.cm = self.cv if self.problem.identity_mass else blocks[3]
-
-    def _blocks(self):
-        own = [self.cb, self.cv, self.ca]
-        return own if self.problem.identity_mass else own + [self.cm]
 
     def absorb(self, x):
         """Grow W by what the n-length columns ``x`` add to its span and
@@ -365,15 +394,15 @@ class _State:
         kept, c = _gram_schmidt(self.w, self._w_buffer[:, self._cols :], x, _W_DROP_TOL)
         if kept:
             self._cols += kept
-            self._set_blocks([_pad_rows(blk, c.shape[0]) for blk in self._blocks()])
+            self.cb = _pad_rows(self.cb, c.shape[0])
+            self._c = _pad_rows(self._c, c.shape[0])
         return c
 
     def _recompress(self, y):
         """Shrink W onto the span of the coefficient blocks and of the
         pending expansion ``y``; returns y in the new basis. W is rotated
         in place, ``_ROW_BLOCK`` rows at a time."""
-        blocks = self._blocks() + [y]
-        x = np.concatenate(blocks, axis=1)
+        x = np.concatenate([self.cb, *self._c, y], axis=1)
         u = np.empty((self._cols, x.shape[1]), order="F")
         kept, c = _gram_schmidt(u[:, :0], u, x, _W_DROP_TOL)
         u = u[:, :kept]
@@ -382,9 +411,9 @@ class _State:
             rows = w[i : i + _ROW_BLOCK]
             rows[:, :kept] = rows @ u
         self._cols = kept
-        cuts = np.cumsum([blk.shape[1] for blk in blocks])[:-1]
-        *own, y = np.split(c, cuts, axis=1)
-        self._set_blocks(own)
+        cuts = self.cb.shape[1] + self.dim * np.arange(len(self._c) + 1)
+        self.cb, *own, y = np.split(c, cuts, axis=1)
+        self._c = np.array(own)
         self._stale = False
         return y
 
@@ -402,13 +431,9 @@ class _State:
         if not p.identity_mass:
             images = np.concatenate([images, p.apply_m(q)], axis=1)
         c = self.absorb(images)
-        y = _pad_rows(y, c.shape[0])
-        self.cv = np.concatenate([self.cv, y], axis=1)
-        self.ca = np.concatenate([self.ca, c[:, :k]], axis=1)
-        if p.identity_mass:
-            self.cm = self.cv
-        else:
-            self.cm = np.concatenate([self.cm, c[:, k:]], axis=1)
+        images = [c[:, i : i + k] for i in range(0, c.shape[1], k)]  # AV's, then MV's
+        block = np.array([_pad_rows(y, len(c)), *images])
+        self._c = np.concatenate([self._c, block], axis=2)
 
     def truncate(self, t, restart_tol):
         """Keep the eigenmodes of ``t`` above restart_tol by rotating the
@@ -416,9 +441,7 @@ class _State:
         new basis."""
         lam, u = _eigen_trim(t, restart_tol)
         self._stale = self._stale or lam.size < self.dim
-        self.cv = self.cv @ u
-        self.ca = self.ca @ u
-        self.cm = self.cv if self.problem.identity_mass else self.cm @ u
+        self._c = self._c @ u
         return np.diag(lam)
 
     def projected(self):

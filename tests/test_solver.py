@@ -187,6 +187,23 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="no independent columns"):
             solve(problem, SolverOptions(initial_space="columns_of_b"))
 
+    def test_initial_v_is_a_warm_start(self):
+        # Continuation starts each solve from the previous point's V; with
+        # initial_space unset, initial_v alone selects it.
+        a, _, sites = gen_diffusion(40)
+        b = gen_forcing(sites, 40, "row_sum_vector").b
+        first, cold = solve(LyapunovProblem(a, None, b), SolverOptions(tol=1e-6))
+        opts = SolverOptions(tol=1e-6, initial_v=first.v)
+        assert opts.initial_space == "given"
+        _, warm = solve(LyapunovProblem(a, None, b), opts)
+        assert warm.converged
+        assert warm.iterations <= 2 < cold.iterations
+
+    @pytest.mark.parametrize("space", ["random", "columns_of_b", "inverse_applied_to_b"])
+    def test_initial_v_with_another_space_rejected(self, space):
+        with pytest.raises(ValueError, match=f"initial_v.*initial_space={space!r}"):
+            SolverOptions(initial_space=space, initial_v=np.ones((3, 1)))
+
 
 # Each must raise ValueError naming finiteness, as an out-of-range value does:
 # NaN fails every comparison and infinity passes the one-sided ones.
@@ -291,6 +308,19 @@ class TestResidualEstimate:
         with pytest.raises(ValueError):
             residual_norm_and_vectors(problem, sol, 1)
 
+    @pytest.mark.parametrize("m", [-1, 2.5, None])
+    def test_pair_count_must_be_a_non_negative_integer(self, m):
+        problem = LyapunovProblem(_csr(-np.eye(20)), None, np.ones((20, 1)))
+        sol = LowRankSolution(np.eye(20)[:, :3], np.eye(3))
+        with pytest.raises(ValueError, match="m must be a non-negative integer"):
+            residual_norm_and_vectors(problem, sol, m)
+
+    def test_numpy_integer_pair_count(self):
+        problem = LyapunovProblem(_csr(-np.eye(5)), None, np.ones((5, 1)))
+        empty = LowRankSolution(np.zeros((5, 0)), np.zeros((0, 0)))
+        est = residual_norm_and_vectors(problem, empty, np.int64(2))
+        assert est.eigenvectors.shape == (5, 2)
+
 
 class TestRestart:
     def test_small_modes_dropped(self):
@@ -362,6 +392,14 @@ class TestRestart:
         sol = LowRankSolution(np.zeros((4, 0)), np.zeros((0, 0)))
         assert restart(sol, 0.5) is sol
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-3])
+    def test_tolerance_rule_of_the_options(self, tol):
+        # the rule SolverOptions states, also for an empty solution
+        for sol in (LowRankSolution(np.eye(11), np.eye(11)),
+                    LowRankSolution(np.zeros((4, 0)), np.zeros((0, 0)))):
+            with pytest.raises(ValueError, match="restart_tol must be >= 0 and finite"):
+                restart(sol, tol)
+
 
 class TestSearchSpaceStructure:
     def test_krylov_containment(self):
@@ -421,12 +459,12 @@ class TestSearchSpaceStorage:
         y, _ = orthonormalize(state.absorb(rng.standard_normal((n, 3))))
         state.extend(y)
         assert n_length() == ["_w_buffer"]
-        assert (state.cm is state.cv) == (not mass)
+        assert np.shares_memory(state.cm, state.cv) == (not mass)
         state.truncate(np.diag([2.0, 1.0, 0.0]), 0.0)
         assert n_length() == ["_w_buffer"]
         state.extend(np.zeros((state.w.shape[1], 0)))  # recompresses W
         assert n_length() == ["_w_buffer"]
-        assert (state.cm is state.cv) == (not mass)
+        assert np.shares_memory(state.cm, state.cv) == (not mass)
 
     def test_basis_is_written_in_place(self):
         # absorb, extend and a recompression write into W's buffer while it
