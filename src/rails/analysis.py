@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCovarianceError
+from .matrices import _check_count
 
 __all__ = ["EofSet", "eofs", "gaussian_logpdf", "sample_stationary"]
 
@@ -51,8 +52,7 @@ def eofs(sol, k):
     Weights sum to one over the full retained spectrum whenever the total
     variance is positive.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k, 1)
     if k > sol.rank:
         raise ValueError(f"k = {k} exceeds the solution rank {sol.rank}")
     lam, u = _core_spectrum(sol)
@@ -104,8 +104,7 @@ def sample_stationary(sol, x_star, count, rng_seed=0):
     Uses x_star + V T^{1/2} Z with standard normal Z over the core's modes,
     largest first; a materially negative mode raises, as in ``eofs``.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_count("count", count, 1)
     x_star = np.asarray(x_star, dtype=np.float64).reshape(-1)
     if x_star.shape != (sol.dimension,):
         raise ValueError("x_star must be a vector of the problem dimension")

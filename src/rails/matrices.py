@@ -1,8 +1,9 @@
 """Shared matrix kernels, one routine per job: input validation (finite
-real values only, and ``_check_pencil``, the shape rule of every (A, M, B)
-entry point), Gram-Schmidt with deflation (``_gram_schmidt``, public
-as ``orthonormalize``; the solver's basis W calls it with a drop tolerance
-of its own), a guarded sparse LU (``_splu``), LAPACK calls (``_lapack``),
+real values only, ``_check_pencil``, the shape rule of every (A, M, B)
+entry point, and ``_check_count``, the rule of every count argument),
+Gram-Schmidt with deflation (``_gram_schmidt``, public as
+``orthonormalize``; the solver's basis W calls it with a drop tolerance of
+its own), a guarded sparse LU (``_splu``), LAPACK calls (``_lapack``),
 the symmetry rule (``_check_symmetric``) and a Lanczos eigensolver for
 symmetric operators given as anything ``aslinearoperator`` accepts.
 
@@ -11,6 +12,7 @@ The kernels keep no state. Products and solves are counted per solve by
 through.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +59,14 @@ def _check_pencil(a, m, b):
     if b.shape[0] != n:
         raise ValueError(f"B has {b.shape[0]} rows, expected {n}")
     return n
+
+
+def _check_count(name, value, low):
+    """The rule of a count argument: an integer (``numbers.Integral``, so
+    NumPy integers too) of at least ``low``; else ValueError naming it."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        kind = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def _check_symmetric(t, name):

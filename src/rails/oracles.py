@@ -21,7 +21,7 @@ import scipy.sparse as sparse
 
 from .dae import _check_forcing, schur_apply
 from .errors import NoUniqueSolutionError, OracleSizeError, SimulationBlowupError
-from .matrices import _check_pencil, as_matrix
+from .matrices import _check_count, _check_pencil, as_matrix
 
 __all__ = [
     "kron_solve",
@@ -161,12 +161,11 @@ class SimulationConfig:
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if not 0 <= self.burn_in < self.n_steps:
+        _check_count("n_steps", self.n_steps, 1)
+        _check_count("burn_in", self.burn_in, 0)
+        if self.burn_in >= self.n_steps:
             raise ValueError("burn_in must lie in [0, n_steps)")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
+        _check_count("sample_stride", self.sample_stride, 1)
 
 
 def euler_maruyama_covariance(sys, cfg):

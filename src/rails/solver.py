@@ -37,7 +37,6 @@ hard problems. Trims keep the eigenmodes of the core above the retention
 tolerance and above a rounding-level floor relative to the largest mode.
 """
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,7 +46,9 @@ from .dae import DaeSystem, partition, recover_full_covariance
 from .dense_lyap import DIMENSION_CAP, ProjectedSystem, solve_projected
 from .errors import SingularMatrixError
 from .lowrank import LowRankSolution
-from .matrices import _check_pencil, _gram_schmidt, _splu, as_matrix, check_sparse, orthonormalize
+from .matrices import (
+    _check_count, _check_pencil, _gram_schmidt, _splu, as_matrix, check_sparse, orthonormalize,
+)
 # perfbench/tracing.py wraps the name rails.solver.lanczos_topk, which
 # nothing here calls any more; it stays bound until that tracer changes.
 from .matrices import lanczos_topk  # noqa: F401
@@ -175,14 +176,10 @@ class SolverOptions:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.expand_m < 1:
-            raise ValueError("expand_m must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        for name in ("expand_m", "max_iters", "restart_period"):
+            _check_count(name, getattr(self, name), 1)
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
-        if self.restart_period < 1:
-            raise ValueError("restart_period must be >= 1")
         _check_restart_tol(self.restart_tol)
         if not 1 <= self.restart_tol_growth < np.inf:
             raise ValueError("restart_tol_growth must be >= 1 and finite")
@@ -244,30 +241,26 @@ class SolveReport:
 
 @dataclass
 class ResidualEstimate:
+    """What ``residual_norm_and_vectors`` returns, k = min(m, D) pairs."""
     norm2: float
-    eigenvalues: np.ndarray  # (m,), sorted by |value| descending
-    eigenvectors: np.ndarray  # (n, m)
+    eigenvalues: np.ndarray  # (k,), sorted by |value| descending
+    eigenvectors: np.ndarray  # (n, k), orthonormal
 
 
 def residual_norm_and_vectors(problem, sol, m):
     """||R||_2 and the top-|lambda| residual eigenpairs of ``sol``.
 
     Forms A V and M V once (2 d applications) and computes the residual
-    exactly in an orthonormal basis of span[V, AV, MV, B], the routine the
-    solve loop uses (see the module docstring for its accuracy). ``m`` is
-    a non-negative integer. Returns min(m, n) pairs; past the rank of R
-    they have eigenvalue 0 and coordinate-derived eigenvectors.
+    exactly in an orthonormal basis W of span[V, AV, MV, B], the routine
+    the solve loop uses (see the module docstring for its accuracy). ``m``
+    is a non-negative integer. Returns the top min(m, D) eigenpairs, D the
+    dimension of that span: R is zero off it.
     """
-    if not isinstance(m, numbers.Integral) or m < 0:
-        raise ValueError(f"m must be a non-negative integer, got {m!r}")
+    _check_count("m", m, 0)
     if sol.dimension != problem.dimension:
         raise ValueError("solution and problem dimensions differ")
     state = _State(problem)
     state.extend(state.absorb(sol.v))
-    n, j = problem.dimension, 0
-    while state.w.shape[1] < min(m, n):
-        state.absorb(np.eye(n, 1, -j))  # e_j: past span W, R maps it to zero
-        j += 1
     norm2, lam, y = state.residual(sol.t, m)
     return ResidualEstimate(norm2, lam, state.w @ y)
 
@@ -337,7 +330,8 @@ class _State:
     point into freed memory; the buffer is then copied into a new, wider
     one, and the old one lives as long as those references. A truncation
     rotates the coefficients only; the next extension recompresses W onto
-    the span still in use, in place.
+    the span still in use, in place. The same truncation, at tolerance 0,
+    is the trim a solve ends with.
     """
 
     def __init__(self, problem):
@@ -371,10 +365,6 @@ class _State:
     @property
     def dim(self):
         return self._c.shape[2]
-
-    @property
-    def v(self):
-        return self.w @ self.cv
 
     def absorb(self, x):
         """Grow W by what the n-length columns ``x`` add to its span and
@@ -504,9 +494,9 @@ def solve(problem, opts=None, callback=None):
 
     Returns
     -------
-    (LowRankSolution, SolveReport). The returned core is positive
-    definite on its range: nonpositive and rounding-level modes are
-    trimmed on exit. Each sweep's rho = ||R||_2 / ||B||_2^2 is exact up
+    (LowRankSolution, SolveReport). The returned core is diagonal, with
+    positive entries in descending order: a solve ends with the loop's own
+    trim at tolerance 0. Each sweep's rho = ||R||_2 / ||B||_2^2 is exact up
     to the basis drop tolerance (module docstring). ``converged`` is True
     when the final rho met the tolerance, even if the budget ended the
     run before the confirming second pass.
@@ -571,13 +561,9 @@ def solve(problem, opts=None, callback=None):
             termination = "stagnated"
             break
 
-    # trim nonpositive and rounding-level modes so the returned core is PD
-    # on its range; this perturbs C at rounding level only
-    cv = state.cv
-    lam, u = _eigen_trim(t, 0.0)
-    if lam.size < t.shape[0]:
-        cv, t = cv @ u, np.diag(lam)
-    sol = LowRankSolution(state.w @ cv, t)
+    # drop nonpositive and rounding-level modes: C moves at rounding level only
+    t = state.truncate(t, 0.0)
+    sol = LowRankSolution(state.w @ state.cv, t)
 
     report.converged = bool(conv_now)
     report.termination_reason = termination

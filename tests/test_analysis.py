@@ -147,6 +147,12 @@ class TestGaussianLogpdf:
             probe = x_star + rng.standard_normal(3)
             assert gaussian_logpdf(probe, x_star, sol) <= at_mean
 
+    def test_points_must_have_the_solution_dimension(self):
+        sol = _diag_solution([1.0], n=3)
+        for x, x_star in [(np.zeros(2), np.zeros(3)), (np.zeros(3), np.zeros(4))]:
+            with pytest.raises(ValueError, match="problem dimension"):
+                gaussian_logpdf(x, x_star, sol)
+
     def test_degenerate_direction_rejected(self):
         sol = LowRankSolution(np.eye(2), np.diag([1.0, 0.0]))
         with pytest.raises(InvalidCovarianceError):
@@ -186,6 +192,13 @@ class TestSampling:
         # clamped would draw from a different covariance
         sol = _diag_solution([1.0, -1.0])
         with pytest.raises(InvalidCovarianceError):
+            sample_stationary(sol, np.zeros(2), 5)
+
+    def test_argument_errors(self):
+        sol = _diag_solution([1.0], n=3)
+        with pytest.raises(ValueError, match="count"):
+            sample_stationary(sol, np.zeros(3), 0)
+        with pytest.raises(ValueError, match="x_star"):
             sample_stationary(sol, np.zeros(2), 5)
 
     def test_samples_live_on_support(self):

@@ -70,6 +70,13 @@ class TestGenerate:
                     str(tmp_path / "x"))
         assert code == 2
 
+    @pytest.mark.parametrize("sizes", [[], ["--n-diff", "5"], ["--n-alg", "2"]])
+    def test_dae_without_sizes_is_usage_error(self, tmp_path, capsys, sizes):
+        out = tmp_path / "x"
+        assert _run("generate", "--kind", "dae", *sizes, "--out", str(out)) == 2
+        assert "--n-diff and --n-alg" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_sigma_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "p"
         code = _run("generate", "--kind", "diffusion", "--n", "10",

@@ -44,6 +44,15 @@ class TestStandardForm:
             ref = kron_solve(f, np.eye(n), b)
             assert np.allclose(c, ref, atol=1e-9 * np.linalg.norm(q))
 
+    def test_shape_validation(self):
+        for f, q in [(-np.eye(2), np.eye(3)), (-np.ones((2, 3)), np.eye(2))]:
+            with pytest.raises(ValueError, match="equal size"):
+                solve_standard_dense(f, q)
+
+    def test_empty(self):
+        t = solve_standard_dense(np.zeros((0, 0)), np.zeros((0, 0)))
+        assert t.shape == (0, 0)
+
     def test_complex_spectrum(self):
         # Spiral sink: a 2x2 Schur block exercises the quasi-triangular
         # path inside the back substitution.

@@ -74,6 +74,15 @@ def test_dense_reader_accepts_coordinate_file(tmp_path):
     assert dense[2, 0] == 40.0
 
 
+def test_sparse_reader_accepts_array_file(tmp_path):
+    path = tmp_path / "a.mtx"
+    dense = np.array([[1.0, 0.0], [-2.0, 3.0]])
+    save_dense(path, dense)
+    a = load_sparse(path)
+    assert sparse.issparse(a) and a.format == "csr"
+    assert np.array_equal(a.toarray(), dense)
+
+
 def test_zero_column_matrix_round_trip(tmp_path):
     # Rank-zero solutions produce factors with no columns; these must
     # survive a save/load cycle.

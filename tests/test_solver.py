@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 
+from rails.analysis import eofs, sample_stationary
 from rails.dae import partition
 from rails.dense_lyap import solve_projected
 from rails.errors import ForcingOnConstraintError, SingularMatrixError
@@ -125,6 +126,33 @@ class TestSolveBasics:
         lam = np.linalg.eigvalsh(sol.t)
         assert lam.min() > 0
 
+    @pytest.mark.parametrize("b, m, opts", [
+        (np.eye(40)[:, ::13], None, SolverOptions(tol=1e-8, rng_seed=3)),
+        # a partial iterate, whose exit trim drops no mode
+        (np.eye(40)[:, :1], None, SolverOptions(tol=1e-12, max_iters=2)),
+        (np.ones((40, 2)), _csr(np.diag(np.linspace(0.5, 2.0, 40))),
+         SolverOptions(tol=1e-8, variant="inverse")),
+    ], ids=["converged", "partial", "mass-inverse"])
+    def test_core_is_diagonal_and_descending(self, b, m, opts):
+        # a solve ends with the loop's own trim, so its core is the
+        # restart form: diagonal, positive, largest first
+        a, _, _ = gen_diffusion(40)
+        sol, _ = solve(LyapunovProblem(a, m, b), opts)
+        lam = np.diag(sol.t)
+        assert sol.rank > 0
+        assert np.array_equal(sol.t, np.diag(lam))
+        assert lam.min() > 0
+        assert np.all(lam[:-1] >= lam[1:])
+
+    def test_default_options(self):
+        a, _, _ = gen_diffusion(40)
+        b = np.ones((40, 1))
+        sol, report = solve(LyapunovProblem(a, None, b))
+        ref, ref_report = solve(LyapunovProblem(a, None, b), SolverOptions())
+        assert np.array_equal(sol.v, ref.v)
+        assert np.array_equal(sol.t, ref.t)
+        assert report == ref_report
+
     def test_max_iters_reason(self):
         a, _, _ = gen_diffusion(60)
         b = np.eye(60)[:, :1]
@@ -228,6 +256,28 @@ def test_non_finite_values_rejected(make):
         make()
 
 
+# A count must be an integer as well as in range: a fractional one fails
+# deep inside the computation (TypeError) or runs with a fractional period
+# or stride. Each raises ValueError naming the argument.
+_SOLUTION = LowRankSolution(np.eye(3)[:, :2], np.diag([2.0, 1.0]))
+_NON_INTEGER = {
+    "expand_m": lambda: SolverOptions(expand_m=2.5),
+    "max_iters": lambda: SolverOptions(max_iters=2.5),
+    "restart_period": lambda: SolverOptions(restart_period=1.5),
+    "n_steps": lambda: SimulationConfig(dt=1e-2, n_steps=100.5),
+    "burn_in": lambda: SimulationConfig(dt=1e-2, n_steps=100, burn_in=1.5),
+    "sample_stride": lambda: SimulationConfig(dt=1e-2, n_steps=100, sample_stride=2.5),
+    "k": lambda: eofs(_SOLUTION, 2.5),
+    "count": lambda: sample_stationary(_SOLUTION, np.zeros(3), 2.5),
+}
+
+
+@pytest.mark.parametrize("name, make", _NON_INTEGER.items(), ids=list(_NON_INTEGER))
+def test_non_integer_counts_rejected(name, make):
+    with pytest.raises(ValueError, match=f"^{name} must be .*integer"):
+        make()
+
+
 class TestProblemValidation:
     @pytest.mark.parametrize("a, m, b, message", [
         (np.ones((2, 3)), None, np.ones((2, 1)), "A must be square"),
@@ -296,11 +346,24 @@ class TestResidualEstimate:
         assert abs(est.norm2 - dense_norm) <= 1e-6 * dense_norm
 
     def test_eigenvector_count(self):
-        b = np.ones((5, 1))
-        problem = LyapunovProblem(_csr(-np.eye(5)), None, b)
-        empty = LowRankSolution(np.zeros((5, 0)), np.zeros((0, 0)))
+        # min(m, D) pairs, D = dim span[V, AV, B] = 3 here: V = e_0 with
+        # A e_0 = -e_0 + e_1, and B = e_2.
+        a = _csr(-np.eye(6) + np.eye(6, k=-1))
+        problem = LyapunovProblem(a, None, np.eye(6)[:, [2]])
+        sol = LowRankSolution(np.eye(6)[:, :1], np.eye(1))
+        for m in (0, 2, 3, 10):
+            est = residual_norm_and_vectors(problem, sol, m)
+            assert est.eigenvalues.shape == (min(m, 3),)
+            assert est.eigenvectors.shape == (6, min(m, 3))
+
+    def test_rank_zero_one_column_gives_one_pair(self):
+        # C = 0 leaves R = b b', and D = 1: one pair (||b||^2, b / ||b||)
+        b = np.array([[3.0], [0.0], [4.0], [0.0]])
+        problem = LyapunovProblem(_csr(-np.eye(4)), None, b)
+        empty = LowRankSolution(np.zeros((4, 0)), np.zeros((0, 0)))
         est = residual_norm_and_vectors(problem, empty, 3)
-        assert est.eigenvectors.shape == (5, 3)
+        assert est.eigenvalues == pytest.approx([25.0], rel=1e-14)
+        assert np.allclose(np.abs(est.eigenvectors), np.abs(b) / 5.0, atol=1e-15)
 
     def test_dimension_mismatch(self):
         problem = LyapunovProblem(_csr(-np.eye(3)), None, np.ones((3, 1)))
@@ -316,7 +379,8 @@ class TestResidualEstimate:
             residual_norm_and_vectors(problem, sol, m)
 
     def test_numpy_integer_pair_count(self):
-        problem = LyapunovProblem(_csr(-np.eye(5)), None, np.ones((5, 1)))
+        # three forcing columns span D = 3, so m = 2 is the binding count
+        problem = LyapunovProblem(_csr(-np.eye(5)), None, np.eye(5, 3))
         empty = LowRankSolution(np.zeros((5, 0)), np.zeros((0, 0)))
         est = residual_norm_and_vectors(problem, empty, np.int64(2))
         assert est.eigenvectors.shape == (5, 2)
@@ -642,7 +706,7 @@ class TestExactResidual:
         def check():
             w = state.w
             assert np.linalg.norm(w.T @ w - np.eye(w.shape[1]), 2) <= 1e-12
-            v = state.v
+            v = w @ state.cv
             av = problem.apply_a(v)
             assert np.linalg.norm(av - w @ state.ca) <= 1e-9 * np.linalg.norm(av)
             if mass:
@@ -676,6 +740,12 @@ class TestOperationCounts:
         problem.apply_a(np.ones(5))
         assert problem.mvps == 4
         assert problem.imvps == 0
+
+    def test_identity_mass_returns_its_operand_uncounted(self):
+        problem = LyapunovProblem(sparse.identity(5, format="csr"), None, np.ones((5, 1)))
+        x = np.ones((5, 3))
+        assert problem.apply_m(x) is x
+        assert problem.mvps == problem.imvps == 0
 
     def test_solve_counts_inverse_products(self):
         a, m, sites = gen_dae(10, 4, rng_seed=1)
