@@ -105,6 +105,7 @@ def sample_stationary(sol, x_star, count, rng_seed=0):
     largest first; a materially negative mode raises, as in ``eofs``.
     """
     _check_count("count", count, 1)
+    _check_count("rng_seed", rng_seed, 0)
     x_star = np.asarray(x_star, dtype=np.float64).reshape(-1)
     if x_star.shape != (sol.dimension,):
         raise ValueError("x_star must be a vector of the problem dimension")

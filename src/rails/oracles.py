@@ -166,6 +166,7 @@ class SimulationConfig:
         if self.burn_in >= self.n_steps:
             raise ValueError("burn_in must lie in [0, n_steps)")
         _check_count("sample_stride", self.sample_stride, 1)
+        _check_count("rng_seed", self.rng_seed, 0)
 
 
 def euler_maruyama_covariance(sys, cfg):

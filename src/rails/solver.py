@@ -49,9 +49,8 @@ from .lowrank import LowRankSolution
 from .matrices import (
     _check_count, _check_pencil, _gram_schmidt, _splu, as_matrix, check_sparse, orthonormalize,
 )
-# perfbench/tracing.py wraps the name rails.solver.lanczos_topk, which
-# nothing here calls any more; it stays bound until that tracer changes.
-from .matrices import lanczos_topk  # noqa: F401
+# Only perfbench/tracing.py reads this name (it wraps it); it goes when the tracer drops it.
+lanczos_topk = None
 
 __all__ = [
     "LyapunovProblem",
@@ -178,6 +177,7 @@ class SolverOptions:
     def __post_init__(self):
         for name in ("expand_m", "max_iters", "restart_period"):
             _check_count(name, getattr(self, name), 1)
+        _check_count("rng_seed", self.rng_seed, 0)
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
         _check_restart_tol(self.restart_tol)

@@ -364,7 +364,8 @@ class TestValidate:
     @pytest.mark.parametrize("options", [
         ("--steps", "10", "--burn-in", "100"),
         ("--dt", "0"),
-    ], ids=["burn-in-past-steps", "zero-dt"])
+        ("--seed", "-1"),
+    ], ids=["burn-in-past-steps", "zero-dt", "negative-seed"])
     def test_simulation_options_are_refused_before_reading(self, tmp_path, capsys,
                                                           options):
         missing = tmp_path / "absent"

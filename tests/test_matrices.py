@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sparse
-from scipy.sparse.linalg import LinearOperator
 
 from rails.dae import partition
 from rails.dense_lyap import ProjectedSystem
@@ -10,7 +9,6 @@ from rails.matrices import (
     _gram_schmidt,
     as_matrix,
     check_sparse,
-    lanczos_topk,
     orthonormalize,
 )
 from rails.oracles import kron_solve, kron_solve_dae, residual_matrix
@@ -203,94 +201,3 @@ class TestGramSchmidt:
         _gram_schmidt(against, np.empty((25, 4), order="F"), x, 1e-10)
         assert np.array_equal(against, against_copy)
         assert np.array_equal(x, x_copy)
-
-
-class TestLanczos:
-    def test_diagonal_top_pair(self):
-        op = np.diag([3.0, 1.0, 0.0])
-        res = lanczos_topk(op, 1)
-        assert res.converged
-        assert abs(res.eigenvalues[0] - 3.0) < 1e-10
-        assert np.allclose(np.abs(res.eigenvectors[:, 0]), [1.0, 0.0, 0.0],
-                           atol=1e-8)
-
-    def test_signed_extreme(self):
-        # Largest magnitude wins, not largest value.
-        op = np.diag([-5.0, 2.0])
-        res = lanczos_topk(op, 1)
-        assert abs(res.eigenvalues[0] + 5.0) < 1e-10
-
-    def test_identity_early_stop(self):
-        op = np.eye(5)
-        res = lanczos_topk(op, 1)
-        assert res.converged
-        assert res.steps <= 2
-        assert abs(res.eigenvalues[0] - 1.0) < 1e-12
-
-    def test_zero_operator(self):
-        op = LinearOperator((4, 4), matvec=lambda x: np.zeros_like(x), dtype=float)
-        res = lanczos_topk(op, 2)
-        assert np.allclose(res.eigenvalues, 0.0, atol=1e-14)
-
-    def test_matches_dense_eigensolver(self):
-        rng = np.random.default_rng(9)
-        w = rng.standard_normal((40, 40))
-        sym = (w + w.T) / 2
-        res = lanczos_topk(sym, 3, max_steps=40)
-        assert res.converged
-        dense = np.linalg.eigvalsh(sym)
-        top3 = dense[np.argsort(np.abs(dense))[::-1][:3]]
-        assert np.allclose(np.sort(res.eigenvalues), np.sort(top3), atol=1e-8)
-        # Eigenvector residuals back the reported eigenvalues.
-        for i in range(3):
-            v = res.eigenvectors[:, i]
-            lam = res.eigenvalues[i]
-            assert np.linalg.norm(sym @ v - lam * v) <= 1e-6 * abs(lam)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(2)
-        w = rng.standard_normal((25, 25))
-        sym = w + w.T
-        r1 = lanczos_topk(sym, 2, rng_seed=13)
-        r2 = lanczos_topk(sym, 2, rng_seed=13)
-        assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-        assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
-
-    def test_unconverged_flagged(self):
-        rng = np.random.default_rng(1)
-        w = rng.standard_normal((60, 60))
-        sym = w + w.T
-        res = lanczos_topk(sym, 3, max_steps=3, tol=1e-14)
-        assert not res.converged
-        assert res.eigenvalues.shape == (3,)
-
-    def test_rank_deficient_operator(self):
-        # Rank-one operator: Lanczos hits an invariant subspace after one
-        # step and must recover rather than divide by zero.
-        u = np.zeros(10)
-        u[0] = 1.0
-        mat = 4.0 * np.outer(u, u)
-        res = lanczos_topk(mat, 2, max_steps=10)
-        assert abs(res.eigenvalues[0] - 4.0) < 1e-10
-
-    def test_large_diagonal_operator(self):
-        # n = 3000: the top eigenvalues by magnitude are known and well
-        # separated from a dense bulk in [-5, 5].
-        n = 3000
-        d = np.concatenate([[10.0, -9.0, 8.0], np.linspace(-5.0, 5.0, n - 3)])
-        d = d[np.random.default_rng(0).permutation(n)]
-        op = LinearOperator((n, n), matvec=lambda x: d * x, dtype=float)
-        res = lanczos_topk(op, 3, max_steps=60, tol=1e-10)
-        assert res.converged
-        assert np.allclose(res.eigenvalues, [10.0, -9.0, 8.0], atol=1e-8)
-        for i in range(3):
-            v = res.eigenvectors[:, i]
-            lam = res.eigenvalues[i]
-            assert np.linalg.norm(d * v - lam * v) <= 1e-6 * abs(lam)
-
-    def test_k_validation(self):
-        op = np.eye(2)
-        with pytest.raises(ValueError):
-            lanczos_topk(op, 0)
-        with pytest.raises(ValueError):
-            lanczos_topk(op, 3)

@@ -258,21 +258,38 @@ def test_non_finite_values_rejected(make):
 
 # A count must be an integer as well as in range: a fractional one fails
 # deep inside the computation (TypeError) or runs with a fractional period
-# or stride. Each raises ValueError naming the argument.
+# or stride. A seed is a count from 0, checked also where no random start
+# draws from it. Each raises ValueError naming the argument.
 _SOLUTION = LowRankSolution(np.eye(3)[:, :2], np.diag([2.0, 1.0]))
-_NON_INTEGER = {
-    "expand_m": lambda: SolverOptions(expand_m=2.5),
-    "max_iters": lambda: SolverOptions(max_iters=2.5),
-    "restart_period": lambda: SolverOptions(restart_period=1.5),
-    "n_steps": lambda: SimulationConfig(dt=1e-2, n_steps=100.5),
-    "burn_in": lambda: SimulationConfig(dt=1e-2, n_steps=100, burn_in=1.5),
-    "sample_stride": lambda: SimulationConfig(dt=1e-2, n_steps=100, sample_stride=2.5),
-    "k": lambda: eofs(_SOLUTION, 2.5),
-    "count": lambda: sample_stationary(_SOLUTION, np.zeros(3), 2.5),
-}
+_NON_INTEGER = [
+    pytest.param("expand_m", lambda: SolverOptions(expand_m=2.5), id="expand_m"),
+    pytest.param("max_iters", lambda: SolverOptions(max_iters=2.5), id="max_iters"),
+    pytest.param("restart_period", lambda: SolverOptions(restart_period=1.5),
+                 id="restart_period"),
+    pytest.param("n_steps", lambda: SimulationConfig(dt=1e-2, n_steps=100.5), id="n_steps"),
+    pytest.param("burn_in", lambda: SimulationConfig(dt=1e-2, n_steps=100, burn_in=1.5),
+                 id="burn_in"),
+    pytest.param("sample_stride",
+                 lambda: SimulationConfig(dt=1e-2, n_steps=100, sample_stride=2.5),
+                 id="sample_stride"),
+    pytest.param("k", lambda: eofs(_SOLUTION, 2.5), id="k"),
+    pytest.param("count", lambda: sample_stationary(_SOLUTION, np.zeros(3), 2.5), id="count"),
+    pytest.param("rng_seed", lambda: SolverOptions(rng_seed=1.5), id="options-seed-fractional"),
+    pytest.param("rng_seed", lambda: SolverOptions(rng_seed=-1), id="options-seed-negative"),
+    pytest.param("rng_seed", lambda: SolverOptions(initial_space="columns_of_b", rng_seed=-1),
+                 id="options-seed-negative-unused"),
+    pytest.param("rng_seed", lambda: SimulationConfig(dt=1e-2, n_steps=100, rng_seed=1.5),
+                 id="simulation-seed-fractional"),
+    pytest.param("rng_seed", lambda: SimulationConfig(dt=1e-2, n_steps=100, rng_seed=-1),
+                 id="simulation-seed-negative"),
+    pytest.param("rng_seed", lambda: sample_stationary(_SOLUTION, np.zeros(3), 2, rng_seed=1.5),
+                 id="sample-seed-fractional"),
+    pytest.param("rng_seed", lambda: sample_stationary(_SOLUTION, np.zeros(3), 2, rng_seed=-1),
+                 id="sample-seed-negative"),
+]
 
 
-@pytest.mark.parametrize("name, make", _NON_INTEGER.items(), ids=list(_NON_INTEGER))
+@pytest.mark.parametrize("name, make", _NON_INTEGER)
 def test_non_integer_counts_rejected(name, make):
     with pytest.raises(ValueError, match=f"^{name} must be .*integer"):
         make()
@@ -328,7 +345,7 @@ class TestResidualEstimate:
         assert est.norm2 <= 1e-12
 
     def test_matches_dense_spectral_norm(self):
-        # The Lanczos estimate must agree with the dense residual norm on
+        # The exact residual norm must agree with the dense one on
         # a partially converged solution whose residual sits well above
         # rounding noise.
         rng = np.random.default_rng(8)
