@@ -13,7 +13,7 @@ differential block, and the returned ``DaeSystem`` is its operator: it
 applies the Schur complement S = A22 - A21 A11^{-1} A12 implicitly through
 ``schur_apply`` and S^{-1} through a bordered solve with the whole A.
 ``recover_full_covariance`` maps a low-rank solution of the reduced
-problem back to the full space.
+problem back to the full space through the lift that ``schur_apply`` uses.
 """
 
 import numpy as np
@@ -35,8 +35,10 @@ class DaeSystem:
     operator S the solver iterates on.
 
     Attributes of interest: ``algebraic_rows`` / ``differential_rows``
-    (index arrays into the original ordering), the four A blocks, ``m22``
-    and ``m22_is_identity``, ``b2``, and ``a11_lu`` (sparse LU of A11).
+    (index arrays into the original ordering), ``a_full`` (A, held once),
+    the blocks ``a11`` and ``a12`` of its algebraic rows, ``m22`` and
+    ``m22_is_identity``, ``b2``, and ``a11_lu`` (sparse LU of A11). A21 and
+    A22 are not kept: ``schur_apply`` reaches them through A itself.
     ``apply`` (or ``@``) and ``solve`` act with S and S^{-1} on vectors of
     length ``n_differential``; ``shape`` is S's. A pencil without algebraic
     rows is the same reduction with an empty (0 x 0) A11, so S is A.
@@ -46,44 +48,41 @@ class DaeSystem:
         self.a_full = a
         self.algebraic_rows = algebraic_rows
         self.differential_rows = differential_rows
-        self.shape = (differential_rows.size, differential_rows.size)
-        alg, diff = algebraic_rows, differential_rows
-        # each row group of A is sliced once, and freed once its blocks are cut
-        self.a11, self.a12, self.a21, self.a22 = (
-            rows[:, cols].tocsr()
-            for rows in (a[r] for r in (alg, diff))
-            for cols in (alg, diff)
-        )
+        self.n_algebraic, self.n_differential = algebraic_rows.size, differential_rows.size
+        self.dimension = self.n_algebraic + self.n_differential
+        self.shape = (self.n_differential, self.n_differential)
+        # a row set that is one contiguous run (as gen_dae makes them) is
+        # indexed by a slice, which copies blocks of rows instead of gathering
+        self._alg, self._diff = alg, diff = [
+            slice(r[0], r[-1] + 1) if r.size and r[-1] - r[0] == r.size - 1 else r
+            for r in (algebraic_rows, differential_rows)
+        ]
+        rows = a[alg]
+        self.a11, self.a12 = rows[:, alg].tocsr(), rows[:, diff].tocsr()
         self.m22 = m[diff][:, diff].tocsr()
         self.b2 = as_matrix(b[diff, :])
-        self.a11_lu = _splu(self.a11, ReductionImpossibleError, f"constraint block "
-                            f"A11 ({alg.size} x {alg.size}) could not be factorized")
+        self.a11_lu = _splu(self.a11, ReductionImpossibleError, "constraint block A11 "
+                            f"({self.n_algebraic} x {self.n_algebraic}) could not be factorized")
         self.m22_is_identity = bool(
             np.all(self.m22.diagonal() == 1.0)
-            and self.m22.count_nonzero() == diff.size
+            and self.m22.count_nonzero() == self.n_differential
         )
         if not self.m22_is_identity:
             _splu(self.m22, SingularMatrixError, "differential mass block M22 is singular")
         self._a_full_lu = None
 
-    @property
-    def n_algebraic(self):
-        return self.algebraic_rows.size
-
-    @property
-    def n_differential(self):
-        return self.differential_rows.size
-
-    @property
-    def dimension(self):
-        return self.n_algebraic + self.n_differential
-
     def is_pass_through(self):
         return self.n_algebraic == 0
 
-    def solve_a11(self, x):
-        """A11^{-1} x for a vector or the columns of a matrix."""
-        return self.a11_lu.solve(np.asarray(x, dtype=np.float64))
+    def lift(self, x, order="C"):
+        """[-A11^{-1} A12 x; x] in the original ordering, for a vector or the
+        columns of a matrix: the point of the constraint manifold over x.
+        A maps it to zero on the algebraic rows and to S x on the others."""
+        x = np.asarray(x, dtype=np.float64)
+        full = np.empty((self.dimension,) + x.shape[1:], order=order)
+        full[self._alg] = -self.a11_lu.solve(self.a12 @ x)
+        full[self._diff] = x
+        return full
 
     @property
     def apply_cost(self):
@@ -107,8 +106,8 @@ class DaeSystem:
                                     "A is singular, inverse products unavailable")
         x = np.asarray(x, dtype=np.float64)
         rhs = np.zeros((self.dimension,) + x.shape[1:])
-        rhs[self.differential_rows] = x
-        return self._a_full_lu.solve(rhs)[self.differential_rows]
+        rhs[self._diff] = x
+        return self._a_full_lu.solve(rhs)[self._diff]
 
 
 def partition(a, m, b):
@@ -149,21 +148,23 @@ def _check_forcing(b, algebraic_rows):
 def schur_apply(sys, x):
     """Apply S = A22 - A21 A11^{-1} A12 to the columns of x.
 
-    One multiply each with A22, A12 and A21, plus one sparse solve with
-    A11, per column (``DaeSystem.apply_cost``). With no algebraic rows the
-    A11 terms are empty, S x is A x, and ``apply_cost`` counts one product.
+    S x is the differential rows of A times the lift of x (``DaeSystem.lift``),
+    so A21 and A22 act in one pass over A. ``DaeSystem.apply_cost`` counts
+    three sparse products (A12, A21, A22) and one A11 solve per column.
+    With no algebraic rows the lift is x, S x is A x: one product.
     """
-    return sys.a22 @ x - sys.a21 @ sys.solve_a11(sys.a12 @ x)
+    return (sys.a_full @ sys.lift(x))[sys._diff]
 
 
 def recover_full_covariance(sys, sol):
     """Lift a reduced low-rank solution back to the full variable set.
 
     The algebraic block of every basis vector is -A11^{-1} A12 v. The
-    stacked factor W is built in one column-major n x r array and
-    re-orthonormalized in place by LAPACK's Householder QR (``dgeqrf``,
-    then ``dorgqr``), so the result keeps the orthonormal-basis form: with
-    W = Q R, the core becomes R T R'. No second n x r array is made.
+    stacked factor W is built by ``DaeSystem.lift`` in one column-major
+    n x r array and re-orthonormalized in place by LAPACK's Householder QR
+    (``dgeqrf``, then ``dorgqr``), so the result keeps the orthonormal-basis
+    form: with W = Q R, the core becomes R T R'. No second n x r array is
+    made.
     Pass-through systems are returned unchanged.
     """
     if sys.is_pass_through():
@@ -174,9 +175,7 @@ def recover_full_covariance(sys, sol):
             f"solution lives on {v.shape[0]} rows, expected the "
             f"{sys.n_differential} differential rows"
         )
-    w = np.empty((sys.dimension, sol.rank), order="F")
-    w[sys.algebraic_rows] = -sys.solve_a11(sys.a12 @ v)
-    w[sys.differential_rows] = v
+    w = sys.lift(v, order="F")
     w, tau, _, _ = _lapack(dgeqrf, w, query=True, overwrite_a=True)
     r = np.triu(w[: sol.rank])
     q, _, _ = _lapack(dorgqr, w, tau, query=True, overwrite_a=True)

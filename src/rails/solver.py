@@ -23,10 +23,11 @@ after a trim, moves ||R||_2 by at most about 2e-10
 W is the only n-length array a solve keeps, and no sweep copies it. It
 lives in one column-major n x capacity buffer: new directions are written
 into its spare columns, a recompression rotates it in place a block of
-rows at a time, and when it is full it grows geometrically by a realloc
-(``_State``). A solve's footprint is its inputs, W's buffer (8 n bytes a
-column; at most about twice the largest basis D_max, and at least 16
-columns) and a few n-length columns of the sweep at hand.
+rows at a time, and when it is full it grows by a quarter by a realloc
+(``_State``). The answer V = W cv is rotated into it the same way and
+handed over. A solve's footprint is its inputs, W's buffer (8 n bytes a
+column; at most about 1.25 times the largest basis D_max, and at least
+16 columns) and a few n-length columns of the sweep at hand.
 
 The space grows by the top residual eigenvectors, projected off V (or by
 A^{-1} applied to that projection, for the inverse variant), until the
@@ -70,9 +71,9 @@ _W_DROP_TOL = 1e-10
 
 # W's buffer starts with room for max(_W_MIN_COLUMNS, 2 s) columns (s the
 # columns of B) and grows by the factor _W_GROWTH when full (``_State``); a
-# recompression rotates it in place _ROW_BLOCK rows at a time.
+# rotation of W in place (``_rotate``) goes _ROW_BLOCK rows at a time.
 _W_MIN_COLUMNS = 16
-_W_GROWTH = 2
+_W_GROWTH = 1.25
 _ROW_BLOCK = 4096
 
 
@@ -300,6 +301,14 @@ def restart(sol, restart_tol):
     return LowRankSolution(sol.v @ u, np.diag(lam))
 
 
+def _rotate(w, u):
+    """Overwrite the first u.shape[1] columns of ``w`` with w @ u, in place,
+    ``_ROW_BLOCK`` rows at a time: no second n-length array is made."""
+    for i in range(0, w.shape[0], _ROW_BLOCK):
+        rows = w[i : i + _ROW_BLOCK]
+        rows[:, : u.shape[1]] = rows @ u
+
+
 def _pad_rows(c, rows):
     """``c`` with zero rows appended up to ``rows``: its coefficients in a
     basis grown by new columns (each plane of a stack of them)."""
@@ -324,14 +333,14 @@ class _State:
     by ``_W_GROWTH`` from max(``_W_MIN_COLUMNS``, 2 s) columns through
     ``ndarray.resize``, a realloc: a buffer with a mapping of its own (a
     large one) is moved page by page rather than copied. A solve
-    reallocates W about log2(D_max) times and never copies it per sweep.
-    ``resize`` refuses while anything else references the buffer (a live
-    view, or a trace or profile hook such as cProfile's), so no array can
-    point into freed memory; the buffer is then copied into a new, wider
-    one, and the old one lives as long as those references. A truncation
-    rotates the coefficients only; the next extension recompresses W onto
-    the span still in use, in place. The same truncation, at tolerance 0,
-    is the trim a solve ends with.
+    widens W's buffer to 16, 20, 25, 31, ... columns and never copies it
+    per sweep. ``resize`` refuses while anything else references the
+    buffer (a live view, or a trace or profile hook such as cProfile's),
+    so no array can point into freed memory; the buffer is then copied
+    into a new, wider one, and the old one lives as long as those
+    references. A truncation rotates the coefficients only; the next
+    extension recompresses W onto the span still in use, in place. The
+    same truncation, at tolerance 0, is the trim before ``hand_over``.
     """
 
     def __init__(self, problem):
@@ -372,7 +381,7 @@ class _State:
         first if its spare columns cannot take all of ``x``."""
         n, capacity = self._w_buffer.shape
         if self._cols + x.shape[1] > capacity:
-            wider = max(self._cols + x.shape[1], _W_GROWTH * capacity)
+            wider = max(self._cols + x.shape[1], int(_W_GROWTH * capacity))
             try:
                 self._w_buffer.resize((n, wider))
             except ValueError:
@@ -395,11 +404,7 @@ class _State:
         x = np.concatenate([self.cb, *self._c, y], axis=1)
         u = np.empty((self._cols, x.shape[1]), order="F")
         kept, c = _gram_schmidt(u[:, :0], u, x, _W_DROP_TOL)
-        u = u[:, :kept]
-        w = self.w
-        for i in range(0, w.shape[0], _ROW_BLOCK):
-            rows = w[i : i + _ROW_BLOCK]
-            rows[:, :kept] = rows @ u
+        _rotate(self.w, u[:, :kept])
         self._cols = kept
         cuts = self.cb.shape[1] + self.dim * np.arange(len(self._c) + 1)
         self.cb, *own, y = np.split(c, cuts, axis=1)
@@ -424,6 +429,17 @@ class _State:
         images = [c[:, i : i + k] for i in range(0, c.shape[1], k)]  # AV's, then MV's
         block = np.array([_pad_rows(y, len(c)), *images])
         self._c = np.concatenate([self._c, block], axis=2)
+
+    def hand_over(self):
+        """V = W cv, rotated into W's first columns; the state gives up its
+        buffer, shrunk to them (or a copy of them, if ``resize`` refuses)."""
+        _rotate(self.w, self.cv)
+        buf, self._w_buffer = self._w_buffer, None
+        try:
+            buf.resize((buf.shape[0], self.dim))
+        except ValueError:  # as in ``absorb``
+            buf = buf[:, : self.dim].copy(order="F")
+        return buf
 
     def truncate(self, t, restart_tol):
         """Keep the eigenmodes of ``t`` above restart_tol by rotating the
@@ -563,7 +579,7 @@ def solve(problem, opts=None, callback=None):
 
     # drop nonpositive and rounding-level modes: C moves at rounding level only
     t = state.truncate(t, 0.0)
-    sol = LowRankSolution(state.w @ state.cv, t)
+    sol = LowRankSolution(state.hand_over(), t)
 
     report.converged = bool(conv_now)
     report.termination_reason = termination

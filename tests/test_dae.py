@@ -9,6 +9,7 @@ from rails.errors import (
     SingularMatrixError,
 )
 from rails.lowrank import LowRankSolution
+from rails.solver import SolverOptions, solve_dae
 from rails.testproblems import gen_dae, gen_forcing
 
 
@@ -29,7 +30,9 @@ class TestPartition:
         assert sys.n_algebraic == 1
         assert sys.n_differential == 1
         assert sys.a11.toarray() == [[2.0]]
-        assert sys.a22.toarray() == [[-3.0]]
+        ad = TWO_VAR_A.toarray()
+        schur = ad[1, 1] - ad[1, 0] * ad[0, 1] / ad[0, 0]
+        assert np.array_equal(sys.apply(np.ones((1, 1))), [[schur]])
         assert np.array_equal(sys.b2, [[1.0]])
 
     def test_identity_mass_is_pass_through(self):
@@ -76,6 +79,14 @@ class TestPartition:
         m = _csr([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
         with pytest.raises(SingularMatrixError):
             partition(a, m, np.array([[0.0], [1.0], [0.0]]))
+
+    def test_keeps_only_the_algebraic_rows_of_a(self):
+        # A is held once; of its blocks only A11 and A12 are cut out.
+        a, m, sites = gen_dae(20, 8, rng_seed=12)
+        sys = partition(a, m, np.zeros((28, 1)))
+        assert sys.a11.nnz + sys.a12.nnz == a[sys.algebraic_rows].nnz
+        held = {k for k, v in vars(sys).items() if sparse.issparse(v)}
+        assert held == {"a_full", "a11", "a12", "m22"}
 
     def test_m22_identity_flag(self):
         a, m, sites = gen_dae(12, 4, rng_seed=1)
@@ -130,6 +141,53 @@ class TestSchurOperator:
         sys = partition(_csr(np.diag([-1.0, 0.0])), TWO_VAR_M, TWO_VAR_B)
         with pytest.raises(SingularMatrixError):
             sys.solve(np.ones(1))
+
+
+class TestPermutedRows:
+    """gen_dae puts the algebraic rows first, one contiguous run. The same
+    pencil under a symmetric permutation that interleaves them gives the
+    same operator, solve, recovery and solution, permuted."""
+
+    N_DIFF, N_ALG = 20, 8
+
+    def _pencils(self):
+        a, m, sites = gen_dae(self.N_DIFF, self.N_ALG, rng_seed=3)
+        b = gen_forcing(sites[:2], self.N_DIFF + self.N_ALG, "uncorrelated_columns").b
+        p = np.random.default_rng(3).permutation(self.N_DIFF + self.N_ALG)
+        plain = partition(a, m, b)
+        permuted = partition(a[p][:, p], m[p][:, p], b[p])
+        for rows in (permuted.algebraic_rows, permuted.differential_rows):
+            assert np.diff(rows).max() > 1  # not one contiguous run
+        # the reduced variable j of ``permuted`` is the q[j]-th of ``plain``
+        q = p[permuted.differential_rows] - self.N_ALG
+        return (a, m, b), p, plain, permuted, q
+
+    @staticmethod
+    def _close(x, y):
+        return np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+    def test_operator_and_solve(self):
+        _, _, plain, permuted, q = self._pencils()
+        x = np.random.default_rng(4).standard_normal((self.N_DIFF, 3))
+        assert self._close(schur_apply(permuted, x[q]), schur_apply(plain, x)[q])
+        assert self._close(permuted.solve(x[q]), plain.solve(x)[q])
+
+    def test_recovery(self):
+        _, p, plain, permuted, q = self._pencils()
+        rng = np.random.default_rng(5)
+        v = np.linalg.qr(rng.standard_normal((self.N_DIFF, 4)))[0]
+        w = rng.standard_normal((4, 4))
+        c = recover_full_covariance(plain, LowRankSolution(v, w @ w.T)).to_dense()
+        cp = recover_full_covariance(permuted, LowRankSolution(v[q], w @ w.T)).to_dense()
+        assert self._close(cp, c[np.ix_(p, p)])
+
+    def test_solve_dae(self):
+        (a, m, b), p, _, _, _ = self._pencils()
+        opts = SolverOptions(tol=1e-13, initial_space="columns_of_b")
+        sol, report = solve_dae(a, m, b, opts)
+        permuted, permuted_report = solve_dae(a[p][:, p], m[p][:, p], b[p], opts)
+        assert report.converged and permuted_report.converged
+        assert self._close(permuted.to_dense(), sol.to_dense()[np.ix_(p, p)])
 
 
 class TestRecovery:

@@ -572,11 +572,10 @@ class TestSearchSpaceStorage:
 
     def test_solve_holds_no_second_basis(self, monkeypatch):
         # At n = 20000 a column is 160 kB. The traced peak of a solve stays
-        # within its largest basis W (D_max columns), a sweep's A-images and
-        # their basis columns (2 expand_m) and the returned V (rank
-        # columns); copying W once a sweep would hold it twice. Here D_max
-        # is 31 and W's buffer has 32 columns; the bound counts the spare
-        # column within the 2 expand_m.
+        # within its largest basis W (D_max columns) and a sweep's A-images
+        # and their basis columns (2 expand_m); copying W once a sweep would
+        # hold it twice, and forming V apart from W's buffer would add rank
+        # columns. Here D_max is 31, and so is the width of W's buffer.
         n = 20000
         rng = np.random.default_rng(1)
         a = sparse.diags([np.full(n - 1, 0.6), -2.0 - rng.uniform(0.0, 1.0, n),
@@ -598,8 +597,8 @@ class TestSearchSpaceStorage:
             tracemalloc.stop()
         assert report.converged
         d_max = max(widths)
-        assert d_max <= 32  # W's buffer: 16 columns, doubled once
-        columns = d_max + 2 * opts.expand_m + sol.rank
+        assert d_max <= 31  # W's buffer: 16 columns, grown to 20, 25, 31
+        columns = d_max + 2 * opts.expand_m
         assert peak < columns * n * 8 + (256 << 10)
 
     @pytest.mark.parametrize("hook", ["trace", "profile"])
