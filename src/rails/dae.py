@@ -77,10 +77,19 @@ class DaeSystem:
     def lift(self, x, order="C"):
         """[-A11^{-1} A12 x; x] in the original ordering, for a vector or the
         columns of a matrix: the point of the constraint manifold over x.
-        A maps it to zero on the algebraic rows and to S x on the others."""
+        A maps it to zero on the algebraic rows and to S x on the others.
+        A12 multiplies the columns of a matrix that is not C-ordered one at
+        a time: the product with the whole matrix would copy it to C order
+        first. Both ways give the same bits."""
         x = np.asarray(x, dtype=np.float64)
         full = np.empty((self.dimension,) + x.shape[1:], order=order)
-        full[self._alg] = -self.a11_lu.solve(self.a12 @ x)
+        if x.ndim == 2 and not x.flags.c_contiguous:
+            y = np.empty((self.n_algebraic, x.shape[1]), order="F")
+            for j in range(x.shape[1]):
+                y[:, j] = self.a12 @ x[:, j]
+        else:
+            y = self.a12 @ x
+        full[self._alg] = -self.a11_lu.solve(y)
         full[self._diff] = x
         return full
 

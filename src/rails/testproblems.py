@@ -5,6 +5,14 @@ identity mass) and a randomly coupled DAE whose differential block is made
 stable by construction and verified densely. Forcing matrices come in
 three patterns built from per-site weights: independent columns, their row
 sum collapsed to one column, and the diagonal of that row sum.
+
+A DAE pencil is fixed by its seed through the order of the generator's
+draws. Each attempt of ``gen_dae`` seeds a generator with
+``[rng_seed, attempt]`` and draws A12, A21 and D in that order, row by row:
+``choice(n_cols, size=k, replace=False)`` for the columns of a row, then k
+``random`` values for its entries. ``tests/test_testproblems.py`` checks the
+bytes of every block against a per-row oracle of this order
+(``TestRandomSparse``).
 """
 
 import math
@@ -14,6 +22,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import GenerationError
+from .matrices import _check_count
 
 __all__ = ["ForcingMatrix", "gen_diffusion", "gen_dae", "gen_forcing"]
 
@@ -41,8 +50,7 @@ def gen_diffusion(n, scale=1.0):
 
     Returns (A, M, sites) with every row a forcing site.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n, 1)
     if not 0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
     h2 = float(scale) * (n + 1) ** 2
@@ -57,16 +65,23 @@ def gen_diffusion(n, scale=1.0):
 
 
 def _random_sparse(rng, n_rows, n_cols, per_row, amplitude):
-    rows, cols, vals = [], [], []
+    """n_rows x n_cols CSR with min(per_row, n_cols) entries a row, each in
+    amplitude * [-1, 1). Row by row, ``choice`` picks the columns and
+    ``random`` draws their values (the docstring of the module gives the
+    order); ``-1 + 2 u`` is what ``uniform(-1, 1)`` computes from the same
+    draw u, and its product with 2 is exact."""
     if amplitude == 0.0 or n_cols == 0:
         return sparse.csr_matrix((n_rows, n_cols))
     k = min(per_row, n_cols)
+    cols = np.empty((n_rows, k), dtype=np.int64)
+    vals = np.empty((n_rows, k))
+    choice, random = rng.choice, rng.random
     for i in range(n_rows):
-        picked = rng.choice(n_cols, size=k, replace=False)
-        rows.extend([i] * k)
-        cols.extend(picked.tolist())
-        vals.extend((amplitude * rng.uniform(-1.0, 1.0, size=k)).tolist())
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
+        cols[i] = choice(n_cols, size=k, replace=False)
+        random(out=vals[i])
+    vals = amplitude * (-1.0 + 2.0 * vals.ravel())
+    rows = np.repeat(np.arange(n_rows), k)
+    return sparse.csr_matrix((vals, (rows, cols.ravel())), shape=(n_rows, n_cols))
 
 
 def gen_dae(n_diff, n_alg, coupling=0.3, shift=1.0, rng_seed=0):
@@ -86,8 +101,9 @@ def gen_dae(n_diff, n_alg, coupling=0.3, shift=1.0, rng_seed=0):
     Returns (A, M, sites): sites are the first ceil(n_diff / 4) rows of
     the differential block, in full-matrix indices.
     """
-    if n_diff < 1 or n_alg < 0:
-        raise ValueError("need n_diff >= 1 and n_alg >= 0")
+    _check_count("n_diff", n_diff, 1)
+    _check_count("n_alg", n_alg, 0)
+    _check_count("rng_seed", rng_seed, 0)
     if not (0 < shift < math.inf and math.isfinite(coupling)):
         raise ValueError("shift must be positive and finite, coupling finite")
     current = float(shift)
@@ -97,9 +113,8 @@ def gen_dae(n_diff, n_alg, coupling=0.3, shift=1.0, rng_seed=0):
         a21 = _random_sparse(rng, n_diff, n_alg, 3, coupling)
         d = _random_sparse(rng, n_diff, n_diff, 3, coupling)
         a22 = (d - current * sparse.identity(n_diff)).tocsr()
-        s = a22 + a21 @ a12
         if n_diff <= _HURWITZ_CHECK_CAP:
-            top = np.linalg.eigvals(s.toarray()).real.max()
+            top = np.linalg.eigvals((a22 + a21 @ a12).toarray()).real.max()
             if top >= 0:
                 current *= 2.0
                 continue
@@ -127,12 +142,15 @@ def gen_forcing(sites, n, pattern, magnitude=1.0, weights=None):
         diag(B @ 1) restricted to the site columns. Each row of B holds at
         most one nonzero, so this equals the uncorrelated matrix.
 
-    ``weights`` defaults to all ones; it and ``magnitude`` must be finite.
-    The patterns are deterministic.
+    ``sites`` must be an integer array (or a list of ints); ``weights``
+    defaults to all ones, and it and ``magnitude`` must be finite. The
+    patterns are deterministic.
     """
-    sites = np.asarray(sites, dtype=np.int64).reshape(-1)
+    sites = np.asarray(sites).reshape(-1)
     if sites.size == 0:
         raise ValueError("need at least one forcing site")
+    if sites.dtype.kind not in "iu":
+        raise ValueError(f"forcing sites must be integers, got dtype {sites.dtype}")
     if sites.min() < 0 or sites.max() >= n:
         raise ValueError("forcing site index out of range")
     if np.unique(sites).size != sites.size:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -135,6 +137,29 @@ class TestSchurOperator:
         back = sys.solve(sys.apply(x[:, 0]))
         assert back.shape == (25,)
         assert np.allclose(back, x[:, 0], atol=1e-8)
+
+    def test_lift_of_either_order_gives_the_same_bits(self):
+        a, m, _ = gen_dae(30, 12, rng_seed=3)
+        sys = partition(a, m, np.zeros((42, 0)))
+        x = np.random.default_rng(3).standard_normal((30, 5))
+        by_rows = sys.lift(x)
+        by_columns = sys.lift(np.asfortranarray(x), order="F")
+        assert by_columns.flags.f_contiguous
+        assert np.ascontiguousarray(by_columns).tobytes() == by_rows.tobytes()
+
+    def test_lift_of_fortran_columns_holds_no_copy_of_them(self):
+        # 4000 differential rows against 100 algebraic ones: a C-ordered
+        # copy of x would nearly double what the lift allocates.
+        a, m, _ = gen_dae(4000, 100, rng_seed=0)
+        sys = partition(a, m, np.zeros((4100, 0)))
+        x = np.asfortranarray(np.random.default_rng(0).standard_normal((4000, 8)))
+        tracemalloc.start()
+        try:
+            full = sys.lift(x, order="F")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full.nbytes + x.nbytes // 2
 
     def test_singular_full_a_has_no_solve(self):
         # A11 = -1 factors, but S = 0 and so is the full A singular.

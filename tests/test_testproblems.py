@@ -8,6 +8,68 @@ from rails.errors import GenerationError
 from rails.testproblems import PATTERNS, gen_dae, gen_diffusion, gen_forcing
 
 
+def _per_row_oracle(rng, n_rows, n_cols, per_row, amplitude):
+    """Reference for ``_random_sparse``: per row a ``choice`` of columns,
+    then ``uniform`` values, gathered in Python lists."""
+    rows, cols, vals = [], [], []
+    if amplitude == 0.0 or n_cols == 0:
+        return sparse.csr_matrix((n_rows, n_cols))
+    k = min(per_row, n_cols)
+    for i in range(n_rows):
+        picked = rng.choice(n_cols, size=k, replace=False)
+        rows.extend([i] * k)
+        cols.extend(picked.tolist())
+        vals.extend((amplitude * rng.uniform(-1.0, 1.0, size=k)).tolist())
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
+
+
+def _assert_same_bytes(got, expected):
+    assert got.shape == expected.shape
+    for field in ("indptr", "indices", "data"):
+        g, e = getattr(got, field), getattr(expected, field)
+        assert g.dtype == e.dtype, field
+        assert g.tobytes() == e.tobytes(), field
+
+
+class TestRandomSparse:
+    @pytest.mark.parametrize("n_rows, n_cols, per_row, amplitude", [
+        (6, 2, 3, 0.5),        # k = n_cols < per_row
+        (4, 20000, 3, 0.3),    # n_cols > 10000 with few rows
+        (5, 8, 3, 0.0),        # amplitude = 0: no draws
+        (5, 0, 3, 1.0),        # n_cols = 0: no draws
+        (0, 8, 3, 1.0),        # no rows
+        (200, 150, 3, 1.0),
+    ], ids=["k-is-n_cols", "wide", "zero-amplitude", "no-columns", "no-rows",
+            "square"])
+    def test_matches_the_per_row_oracle(self, n_rows, n_cols, per_row, amplitude):
+        got = testproblems._random_sparse(
+            np.random.default_rng(5), n_rows, n_cols, per_row, amplitude)
+        expected = _per_row_oracle(
+            np.random.default_rng(5), n_rows, n_cols, per_row, amplitude)
+        _assert_same_bytes(got, expected)
+        assert got.indices.dtype == np.int32
+
+    def test_leaves_the_generator_where_the_oracle_does(self):
+        rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+        testproblems._random_sparse(rng, 30, 40, 3, 1.0)
+        _per_row_oracle(oracle_rng, 30, 40, 3, 1.0)
+        assert rng.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize("n_diff, n_alg, coupling", [
+        (20, 6, 1.0),    # the shift doubles once: both attempts' draws count
+        (8, 0, 0.3),     # no algebraic rows
+        (6, 3, 0.0),     # no coupling: no draws
+        (600, 100, 0.3),  # past the Hurwitz check's size cap
+    ], ids=["shift-doubling", "no-algebraic-rows", "no-coupling", "unchecked"])
+    def test_gen_dae_matches_the_oracle(self, monkeypatch, n_diff, n_alg, coupling):
+        got = gen_dae(n_diff, n_alg, coupling=coupling, rng_seed=0)
+        monkeypatch.setattr(testproblems, "_random_sparse", _per_row_oracle)
+        expected = gen_dae(n_diff, n_alg, coupling=coupling, rng_seed=0)
+        for g, e in zip(got[:2], expected[:2]):
+            _assert_same_bytes(g, e)
+        assert np.array_equal(got[2], expected[2])
+
+
 class TestGenDiffusion:
     def test_smallest_grid(self):
         a, m, sites = gen_diffusion(2)
@@ -44,6 +106,10 @@ class TestGenDiffusion:
             gen_diffusion(0)
         with pytest.raises(ValueError):
             gen_diffusion(5, scale=0.0)
+
+    def test_fractional_size_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            gen_diffusion(10.5)
 
 
 class TestGenDae:
@@ -122,6 +188,21 @@ class TestGenDae:
         with pytest.raises(ValueError):
             gen_dae(5, 2, shift=0.0)
 
+    @pytest.mark.parametrize("args, kwargs, name", [
+        ((10.5, 3), {}, "n_diff"),
+        ((10, 3.5), {}, "n_alg"),
+        ((10, 3), {"rng_seed": 1.5}, "rng_seed"),
+        ((10, 3), {"rng_seed": -1}, "rng_seed"),
+    ], ids=["n_diff", "n_alg", "rng_seed", "negative-seed"])
+    def test_counts_are_refused_by_name(self, args, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            gen_dae(*args, **kwargs)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        a, _, _ = gen_dae(np.int64(10), np.int32(3), rng_seed=np.uint8(1))
+        expected, _, _ = gen_dae(10, 3, rng_seed=1)
+        assert (a != expected).nnz == 0
+
 
 class TestGenForcing:
     def test_uncorrelated_columns(self):
@@ -174,3 +255,13 @@ class TestGenForcing:
             gen_forcing([0], 3, "checkerboard")
         with pytest.raises(ValueError):
             gen_forcing([0, 1], 3, "uncorrelated_columns", weights=[1.0])
+
+    @pytest.mark.parametrize("sites", [[0.7, 2.2], np.array([0.0, 2.0]), [True, False]],
+                             ids=["fractional", "float-integral", "bool"])
+    def test_non_integer_sites_are_refused(self, sites):
+        with pytest.raises(ValueError, match="must be integers"):
+            gen_forcing(sites, 3, "uncorrelated_columns")
+
+    def test_unsigned_sites_are_accepted(self):
+        f = gen_forcing(np.array([0, 2], dtype=np.uint8), 3, "uncorrelated_columns")
+        assert np.array_equal(f.b, [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
