@@ -5,11 +5,15 @@ test problem, ``solve`` produces a low-rank covariance factorization plus
 a JSON report, ``validate`` replays the problem against the brute-force
 oracles, and ``analyze`` extracts dominant directions. Every command that
 writes files also writes a manifest.json capturing inputs, options and
-outputs, and all randomness is seeded, so reruns are byte-identical.
+outputs, and all randomness is seeded. Reruns are byte-identical at a
+fixed RAILS_THREADS with the same NumPy, SciPy and BLAS build; across
+thread counts they are not yet (BLAS may sum a product over the n rows in
+another order, which moves V.mtx, T.mtx and report.json in the last
+digits on large problems).
 
 Exit codes: 0 success, 1 non-convergence or failed validation, 2 usage or
 malformed input, 3 I/O failure, 4 structural solver error or numerical
-breakdown, 5 oracle asked beyond its size cap.
+breakdown, 5 oracle asked beyond its size cap, 6 out of memory.
 
 The RAILS_THREADS environment variable caps BLAS threading (default: all
 cores). The package ``__init__`` applies it on import, before numpy loads,
@@ -48,6 +52,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_STRUCTURAL = 4
 EXIT_ORACLE_SCALE = 5
+EXIT_MEMORY = 6
 
 _PATTERNS = {
     "uncorrelated": "uncorrelated_columns",
@@ -313,6 +318,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -36,12 +36,18 @@ twice, with a rank-trimming restart in between; periodic restarts every
 ``restart_period`` sweeps keep the space from growing without bound on
 hard problems. Trims keep the eigenmodes of the core above the retention
 tolerance and above a rounding-level floor relative to the largest mode.
+A converged solve then drops its smallest modes for as long as rho plus
+the exact 2-norms of the residual changes they make stays below the
+tolerance (``_State.trim``), so its rank is what the tolerance needs,
+decided far from rounding, and the last rho it records is recomputed for
+the iterate it returns.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import eigh, eigvalsh
 
 from .dae import DaeSystem, partition, recover_full_covariance
 from .dense_lyap import DIMENSION_CAP, ProjectedSystem, solve_projected
@@ -270,7 +276,7 @@ def _eigen_trim(t, tol):
     """Eigenpairs (lam, u) of the symmetric core ``t`` with
     lam > max(tol, eps * d * max|lam|), largest first. The relative floor
     drops rounding-level modes, whose sign rounding alone decides."""
-    lam, u = np.linalg.eigh(t)
+    lam, u = eigh(t)
     floor = np.finfo(float).eps * lam.size * np.abs(lam).max(initial=0.0)
     keep = lam > max(tol, floor)
     return lam[keep][::-1], u[:, keep][:, ::-1]
@@ -340,7 +346,9 @@ class _State:
     into a new, wider one, and the old one lives as long as those
     references. A truncation rotates the coefficients only; the next
     extension recompresses W onto the span still in use, in place. The
-    same truncation, at tolerance 0, is the trim before ``hand_over``.
+    same truncation, at tolerance 0, is the trim before ``hand_over``; a
+    converged solve follows it with ``trim``, which drops the trailing
+    columns of the coefficients a residual budget allows.
     """
 
     def __init__(self, problem):
@@ -450,6 +458,23 @@ class _State:
         self._c = self._c @ u
         return np.diag(lam)
 
+    def trim(self, t, budget):
+        """Drop the trailing modes of the diagonal, descending core ``t``
+        (as ``truncate`` leaves it) while the 2-norms of the residual
+        changes they make sum below ``budget``; returns the kept core.
+        Dropping mode j changes R by -lam_j W (a_j m_j' + m_j a_j') W',
+        a_j and m_j column j of ca and cm, a rank-2 term whose eigenvalues
+        are a_j'm_j +- ||a_j|| ||m_j||: its 2-norm is exact, and the sum
+        bounds the change of ||R||_2."""
+        a, m = self.ca, self.cm
+        cost = np.diag(t) * (
+            np.abs(np.einsum("ij,ij->j", a, m))
+            + np.linalg.norm(a, axis=0) * np.linalg.norm(m, axis=0)
+        )
+        d = self.dim - np.count_nonzero(np.cumsum(cost[::-1]) < budget)
+        self._c = self._c[:, :, :d]
+        return t[:d, :d]
+
     def projected(self):
         cvt = self.cv.T
         return ProjectedSystem(cvt @ self.ca, cvt @ self.cm, cvt @ self.cb)
@@ -461,7 +486,10 @@ class _State:
         s = self.cb @ self.cb.T
         g = self.ca @ t @ self.cm.T
         s += g + g.T
-        lam, y = np.linalg.eigh(s)
+        if m:
+            lam, y = eigh(s)
+        else:  # the norm alone: eigenvalues only
+            lam, y = eigvalsh(s), s[:, :0]
         order = np.argsort(-np.abs(lam), kind="stable")[:m]
         return float(np.abs(lam).max(initial=0.0)), lam[order], y[:, order]
 
@@ -512,10 +540,16 @@ def solve(problem, opts=None, callback=None):
     -------
     (LowRankSolution, SolveReport). The returned core is diagonal, with
     positive entries in descending order: a solve ends with the loop's own
-    trim at tolerance 0. Each sweep's rho = ||R||_2 / ||B||_2^2 is exact up
-    to the basis drop tolerance (module docstring). ``converged`` is True
-    when the final rho met the tolerance, even if the budget ended the
-    run before the confirming second pass.
+    trim at tolerance 0. A converged solve (termination "converged") then
+    drops its smallest modes while rho plus the 2-norms of the residual
+    changes they make stays below ``opts.tol``, and replaces the last
+    ``residual_history`` entry by the exact rho of the iterate it returns
+    (one eigenvalue-only pass over S); any other termination returns every
+    mode of the tolerance-0 trim and the last sweep's rho. Each rho =
+    ||R||_2 / ||B||_2^2 is exact up to the basis drop tolerance (module
+    docstring). ``converged`` is True when the final rho met the
+    tolerance, even if the budget ended the run before the confirming
+    second pass.
     """
     if opts is None:
         opts = SolverOptions()
@@ -579,6 +613,11 @@ def solve(problem, opts=None, callback=None):
 
     # drop nonpositive and rounding-level modes: C moves at rounding level only
     t = state.truncate(t, 0.0)
+    if termination == "converged":
+        # return the rank the tolerance needs, and the exact rho of it
+        t = state.trim(t, (opts.tol - rho) * bb_floor)
+        rho = state.residual(t, 0)[0] / bb_floor
+        report.residual_history[-1] = (report.iterations, rho)
     sol = LowRankSolution(state.hand_over(), t)
 
     report.converged = bool(conv_now)

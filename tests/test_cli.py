@@ -229,6 +229,26 @@ class TestSolve:
         assert code == 4
         assert "dgeqrf rejected argument 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 26.8 GiB", "error: Unable to allocate 26.8 GiB"),
+        ("", "error: out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys,
+                                     message, shown):
+        def solve_dae(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(rails.solver, "solve_dae", solve_dae)
+        problem = _generate_dae(tmp_path)
+        capsys.readouterr()
+        code = _run(
+            "solve", "--a", str(problem / "A.mtx"), "--m",
+            str(problem / "M.mtx"), "--b", str(problem / "B.mtx"),
+            "--out", str(tmp_path / "solution"),
+        )
+        assert code == cli.EXIT_MEMORY == 6
+        assert capsys.readouterr().err == shown + "\n"
+
     def test_inverse_variant_defaults_to_inverse_start(self, tmp_path):
         problem = _generate_dae(tmp_path)
         solution = tmp_path / "solution"

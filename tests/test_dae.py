@@ -2,8 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 
+import rails.solver
+from conftest import rho_rounding_level
 from rails.dae import partition, recover_full_covariance, schur_apply
 from rails.errors import (
     ForcingOnConstraintError,
@@ -11,7 +14,9 @@ from rails.errors import (
     SingularMatrixError,
 )
 from rails.lowrank import LowRankSolution
-from rails.solver import SolverOptions, solve_dae
+from rails.solver import (
+    LyapunovProblem, SolverOptions, residual_norm_and_vectors, solve, solve_dae,
+)
 from rails.testproblems import gen_dae, gen_forcing
 
 
@@ -286,3 +291,46 @@ class TestRecovery:
         wrong = LowRankSolution(np.zeros((2, 0)), np.zeros((0, 0)))
         with pytest.raises(ValueError, match="differential rows"):
             recover_full_covariance(sys, wrong)
+
+
+class TestFinalTrim:
+    def test_last_rho_is_that_of_the_returned_reduced_iterate(self):
+        a, m, sites = gen_dae(40, 10, rng_seed=4)
+        b = gen_forcing(sites, 50, "uncorrelated_columns").b
+        opts = SolverOptions(tol=1e-6, rng_seed=2)
+        full, report = solve_dae(a, m, b, opts)
+        sys = partition(a, m, b)
+        problem = LyapunovProblem(sys, None, sys.b2)
+        sol, reduced = solve(problem, opts)
+        assert report.termination_reason == "converged"
+        assert report.residual_history == reduced.residual_history
+        assert full.rank == sol.rank == report.final_rank < reduced.max_space_dim
+        # the recovery lifts the kept columns only: one A12 product and
+        # one A11 solve each
+        assert report.mvp_count == reduced.mvp_count + sol.rank
+        assert report.imvp_count == reduced.imvp_count + sol.rank
+        rho = report.residual_history[-1][1]
+        exact = residual_norm_and_vectors(problem, sol, 0).norm2
+        assert rho == pytest.approx(exact / np.linalg.norm(sys.b2, 2) ** 2,
+                                    rel=1e-10, abs=rho_rounding_level(problem, sol))
+        assert rho < opts.tol
+
+    def test_rank_does_not_follow_the_eigensolver(self, monkeypatch):
+        # The evr driver rounds otherwise than numpy's evd. The smallest
+        # modes of these cores sit near the eps * d floor of the
+        # tolerance-0 trim, which kept 8, 9 or 10 of them by rounding; the
+        # residual budget decides the rank far from rounding.
+        def evr(x):
+            return scipy.linalg.eigh(x, driver="evr")
+
+        ranks = {}
+        for name, eigh in (("evd", np.linalg.eigh), ("evr", evr)):
+            monkeypatch.setattr(rails.solver, "eigh", eigh)
+            ranks[name] = []
+            for seed in range(1, 11):
+                a, m, sites = gen_dae(40, 10, rng_seed=seed)
+                b = gen_forcing(sites, 50, "row_sum_vector").b
+                sol, report = solve_dae(a, m, b, SolverOptions(tol=1e-8, rng_seed=seed))
+                assert report.converged
+                ranks[name].append(sol.rank)
+        assert ranks["evd"] == ranks["evr"]

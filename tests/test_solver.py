@@ -16,6 +16,7 @@ from rails.matrices import orthonormalize
 from rails.oracles import SimulationConfig, kron_solve, kron_solve_dae, residual_matrix
 import rails.dae
 import rails.solver
+from conftest import rho_rounding_level
 from rails.solver import (
     LyapunovProblem,
     SolverOptions,
@@ -926,6 +927,68 @@ class TestRestartInsideSolve:
         assert (grown.termination_reason, grown.iterations) == ("converged", 12)
         assert grown.converged
         assert _dense_error(runs[4.0][0], a, None, b) < 1e-10
+
+
+class TestFinalTrim:
+    """A converged solve returns the rank its tolerance needs."""
+
+    @pytest.mark.parametrize("variant", ["standard", "inverse"])
+    def test_last_rho_is_that_of_the_returned_iterate(self, variant, monkeypatch):
+        a, _, _ = gen_diffusion(120)
+        b = np.random.default_rng(41).standard_normal((120, 2))
+        if variant == "inverse":
+            b = b[:, :1]
+        opts = SolverOptions(tol=1e-6, variant=variant, rng_seed=1)
+        problem = LyapunovProblem(a, None, b)
+        sol, report = solve(problem, opts)
+        assert report.termination_reason == "converged"
+        rho = report.residual_history[-1][1]
+        exact = residual_norm_and_vectors(problem, sol, 0).norm2
+        floor = rho_rounding_level(problem, sol)
+        assert rho == pytest.approx(exact / np.linalg.norm(b, 2) ** 2, rel=1e-10,
+                                    abs=floor)
+        assert rho < opts.tol
+        # without the trim the same sweeps and products end with more modes
+        monkeypatch.setattr(_State, "trim", lambda self, t, budget: t)
+        full, full_report = solve(LyapunovProblem(a, None, b), opts)
+        assert sol.rank < full.rank
+        assert full_report.residual_history[:-1] == report.residual_history[:-1]
+        for key in ("iterations", "max_space_dim", "mvp_count", "imvp_count"):
+            assert getattr(full_report, key) == getattr(report, key)
+
+    @pytest.mark.parametrize("case, termination", [
+        ("max_iters", "max_iters"),
+        ("converged_at_the_budget", "max_iters"),
+        ("stagnated", "stagnated"),
+    ])
+    def test_other_stops_keep_the_tolerance_0_rank(self, case, termination,
+                                                   monkeypatch):
+        # Only termination "converged" trims; every other stop returns the
+        # tolerance-0 trim of its last iterate and that sweep's rho.
+        a, _, _ = gen_diffusion(60)
+        b = np.eye(60)[:, :1]
+        opts = SolverOptions(tol=1e-12, max_iters=3, expand_m=1)
+        if case == "converged_at_the_budget":
+            # the budget ends on the first pass below the tolerance
+            _, first = solve(LyapunovProblem(a, None, b), SolverOptions(tol=1e-4))
+            passes = [it for it, rho in first.residual_history if rho < 1e-4]
+            opts = SolverOptions(tol=1e-4, max_iters=passes[0])
+        elif case == "stagnated":
+            a = _csr(-np.eye(3) + 0.1 * np.eye(3, k=1))
+            b = np.eye(3)
+            opts = SolverOptions(tol=1e-30, expand_m=3, initial_space="columns_of_b")
+
+        def trim(self, t, budget):
+            raise AssertionError("trimmed a solve that did not converge")
+
+        monkeypatch.setattr(_State, "trim", trim)
+        seen = []
+        sol, report = solve(LyapunovProblem(a, None, b), opts,
+                            callback=lambda it, rho, dim: seen.append(rho))
+        assert report.termination_reason == termination
+        assert report.converged == (case == "converged_at_the_budget")
+        assert report.residual_history[-1][1] == seen[-1]
+        assert sol.rank > 0
 
 
 class TestSpaceCap:
