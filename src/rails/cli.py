@@ -44,6 +44,7 @@ from . import __version__, mmio, solver, testproblems
 from .analysis import eofs, write_eigenvalue_csv, write_eof_csv
 from .dae import partition
 from .errors import OracleSizeError, RailsError
+from .matrices import _check_pencil
 from .oracles import SimulationConfig, euler_maruyama_covariance, kron_solve_dae
 
 EXIT_OK = 0
@@ -187,10 +188,16 @@ def _cmd_generate(args):
     return EXIT_OK
 
 
+def _load_problem(a, m, b):
+    """A, M and B from their files, with the shapes and sizes their headers
+    declare checked first: a mismatch or a truncated file is refused before
+    anything is allocated for its data."""
+    _check_pencil(*map(mmio.read_header, (a, m, b)))
+    return mmio.load_sparse(a), mmio.load_sparse(m), mmio.load_dense(b)
+
+
 def _cmd_solve(args):
-    a = mmio.load_sparse(args.a)
-    m = mmio.load_sparse(args.m)
-    b = mmio.load_dense(args.b)
+    a, m, b = _load_problem(args.a, args.m, args.b)
     inputs = {"a": args.a, "m": args.m, "b": args.b}
     given = {
         k: v for k, v in vars(args).items() if k not in ("command", "out", *inputs)
@@ -228,9 +235,7 @@ def _cmd_validate(args):
     if args.simulate:
         cfg = SimulationConfig(dt=args.dt, n_steps=args.steps, burn_in=args.burn_in,
                                sample_stride=args.stride, rng_seed=args.seed)
-    a = mmio.load_sparse(os.path.join(args.problem, "A.mtx"))
-    m = mmio.load_sparse(os.path.join(args.problem, "M.mtx"))
-    b = mmio.load_dense(os.path.join(args.problem, "B.mtx"))
+    a, m, b = _load_problem(*(os.path.join(args.problem, f"{x}.mtx") for x in "AMB"))
     sol = mmio.load_solution(args.solution)
     n = a.shape[0]
     if sol.dimension != n:

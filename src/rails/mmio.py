@@ -6,6 +6,7 @@ strict so that identical inputs produce byte-identical files.
 """
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.io
@@ -15,6 +16,7 @@ from .lowrank import LowRankSolution
 from .matrices import as_matrix, check_sparse
 
 __all__ = [
+    "read_header",
     "load_sparse",
     "save_sparse",
     "load_dense",
@@ -24,18 +26,33 @@ __all__ = [
 ]
 
 
-def _read(path):
+def _existing(path):
     # scipy's reader reports a missing file as a parse error; surface it
     # as the I/O failure it really is.
     path = os.fspath(path)
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    return scipy.io.mmread(path)
+    return path
+
+
+def read_header(path):
+    """The shape a Matrix Market file declares, read from its header alone
+    (``scipy.io.mminfo``), as an object with a ``shape``, so that
+    ``_check_pencil`` can check a pencil before its data is read. A
+    coordinate file of fewer than 4 bytes a declared entry (the shortest
+    entry is "1 1" and a newline) is a truncated file: ValueError.
+    Compressed files (.gz, .bz2) are not sized."""
+    path = _existing(path)
+    rows, cols, entries, layout, _, _ = scipy.io.mminfo(path)
+    size = os.path.getsize(path)
+    if layout == "coordinate" and not path.endswith((".gz", ".bz2")) and size < 4 * entries:
+        raise ValueError(f"Truncated file: {path} declares {entries} entries in {size} bytes")
+    return SimpleNamespace(shape=(rows, cols))
 
 
 def load_sparse(path):
     """Read a Matrix Market file as a validated CSR matrix."""
-    a = _read(path)
+    a = scipy.io.mmread(_existing(path))
     if not sparse.issparse(a):
         a = sparse.csr_matrix(np.atleast_2d(a))
     return check_sparse(a)
@@ -48,7 +65,7 @@ def save_sparse(path, a):
 
 def load_dense(path):
     """Read a Matrix Market file as a dense float64 matrix."""
-    a = _read(path)
+    a = scipy.io.mmread(_existing(path))
     if sparse.issparse(a):
         a = a.toarray()
     return as_matrix(np.atleast_2d(a))

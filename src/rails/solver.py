@@ -30,17 +30,11 @@ column; at most about 1.25 times the largest basis D_max, and at least
 16 columns) and a few n-length columns of the sweep at hand.
 
 The space grows by the top residual eigenvectors, projected off V (or by
-A^{-1} applied to that projection, for the inverse variant), until the
-relative spectral norm ||R||_2 / ||B||_2^2 drops below the tolerance
-twice, with a rank-trimming restart in between; periodic restarts every
-``restart_period`` sweeps keep the space from growing without bound on
-hard problems. Trims keep the eigenmodes of the core above the retention
-tolerance and above a rounding-level floor relative to the largest mode.
-A converged solve then drops its smallest modes for as long as rho plus
-the exact 2-norms of the residual changes they make stays below the
-tolerance (``_State.trim``), so its rank is what the tolerance needs,
-decided far from rounding, and the last rho it records is recomputed for
-the iterate it returns.
+A^{-1} applied to that projection, for the inverse variant), until
+``solve``'s stopping rule ends it. Trims keep the eigenmodes of the core
+above the retention tolerance and above a rounding-level floor relative
+to the largest mode; a converged solve then drops the modes the
+tolerance does not need, priced by the residual (``_State.trim``).
 """
 
 import warnings
@@ -337,8 +331,8 @@ class _State:
     columns of one column-major n x capacity buffer. New directions are
     written into its spare columns. When they run out, the buffer grows
     by ``_W_GROWTH`` from max(``_W_MIN_COLUMNS``, 2 s) columns through
-    ``ndarray.resize``, a realloc: a buffer with a mapping of its own (a
-    large one) is moved page by page rather than copied. A solve
+    ``ndarray.resize`` (``_fit``), a realloc: a buffer with a mapping of
+    its own (a large one) is moved page by page rather than copied. A solve
     widens W's buffer to 16, 20, 25, 31, ... columns and never copies it
     per sweep. ``resize`` refuses while anything else references the
     buffer (a live view, or a trace or profile hook such as cProfile's),
@@ -387,17 +381,9 @@ class _State:
         """Grow W by what the n-length columns ``x`` add to its span and
         return their coefficients in the grown W. The buffer is widened
         first if its spare columns cannot take all of ``x``."""
-        n, capacity = self._w_buffer.shape
+        capacity = self._w_buffer.shape[1]
         if self._cols + x.shape[1] > capacity:
-            wider = max(self._cols + x.shape[1], int(_W_GROWTH * capacity))
-            try:
-                self._w_buffer.resize((n, wider))
-            except ValueError:
-                # resize refuses while anything else references the
-                # buffer, as a trace or profile hook does
-                buf = np.empty((n, wider), order="F")
-                buf[:, : self._cols] = self.w
-                self._w_buffer = buf
+            self._fit(max(self._cols + x.shape[1], int(_W_GROWTH * capacity)), self._cols)
         kept, c = _gram_schmidt(self.w, self._w_buffer[:, self._cols :], x, _W_DROP_TOL)
         if kept:
             self._cols += kept
@@ -438,15 +424,23 @@ class _State:
         block = np.array([_pad_rows(y, len(c)), *images])
         self._c = np.concatenate([self._c, block], axis=2)
 
+    def _fit(self, columns, used):
+        """Make W's buffer ``columns`` wide, keeping its first ``used``
+        columns: by ``resize``, or by a copy when it refuses. The buffer is
+        no argument: that would be one more reference, and resize refuses."""
+        try:
+            self._w_buffer.resize((self._w_buffer.shape[0], columns))
+        except ValueError:
+            buf = np.empty((self._w_buffer.shape[0], columns), order="F")
+            buf[:, :used] = self._w_buffer[:, :used]
+            self._w_buffer = buf
+
     def hand_over(self):
         """V = W cv, rotated into W's first columns; the state gives up its
-        buffer, shrunk to them (or a copy of them, if ``resize`` refuses)."""
+        buffer, shrunk to them (``_fit``)."""
         _rotate(self.w, self.cv)
+        self._fit(self.dim, self.dim)
         buf, self._w_buffer = self._w_buffer, None
-        try:
-            buf.resize((buf.shape[0], self.dim))
-        except ValueError:  # as in ``absorb``
-            buf = buf[:, : self.dim].copy(order="F")
         return buf
 
     def truncate(self, t, restart_tol):
@@ -522,11 +516,22 @@ def _initial_space(problem, opts):
 
 
 def solve(problem, opts=None, callback=None):
-    """Run the iteration until the relative residual passes ``opts.tol``
-    twice (with a rank-trimming restart between the two passes), the sweep
-    budget runs out, the space stagnates, or the space, initial or grown,
-    would pass ``DIMENSION_CAP`` (termination "space_cap"; the current
-    iterate is returned, of rank 0 if the initial space alone passes).
+    """Run the iteration. Each sweep extends the space, solves the
+    projected equation and takes rho = ||R||_2 / ||B||_2^2. It stops with
+
+    - "converged" at the second sweep with rho < ``opts.tol``; the two need
+      not be consecutive, as the convergence trim at the retention
+      tolerance follows the first and can push rho back up;
+    - "max_iters" after sweep ``opts.max_iters`` otherwise;
+    - "stagnated" when a sweep above the tolerance adds no direction and
+      ``opts.restart_tol_growth`` is 1 (above 1, the retention tolerance
+      grows by that factor and the core is trimmed at it instead);
+    - "space_cap" when the space, initial or grown, would pass
+      ``DIMENSION_CAP`` (the current iterate is returned, of rank 0 if the
+      initial space alone passes).
+
+    A restart every ``opts.restart_period`` sweeps trims at the retention
+    tolerance too, so the space cannot grow without bound on hard problems.
 
     Parameters
     ----------
@@ -547,9 +552,8 @@ def solve(problem, opts=None, callback=None):
     (one eigenvalue-only pass over S); any other termination returns every
     mode of the tolerance-0 trim and the last sweep's rho. Each rho =
     ||R||_2 / ||B||_2^2 is exact up to the basis drop tolerance (module
-    docstring). ``converged`` is True when the final rho met the
-    tolerance, even if the budget ended the run before the confirming
-    second pass.
+    docstring). ``report.converged`` is the last sweep's rho < tol, so it
+    is True when the budget ends on a first pass too.
     """
     if opts is None:
         opts = SolverOptions()
@@ -563,12 +567,9 @@ def solve(problem, opts=None, callback=None):
         )
 
     bb_floor = max(np.linalg.norm(problem.b, 2) ** 2, np.finfo(float).tiny)
+    passes = 0  # sweeps whose rho met the tolerance
     restart_tol = opts.restart_tol
-    converged_once = False
     t = np.zeros((0, 0))
-    rho = np.inf
-    termination = "max_iters"
-    conv_now = False
 
     for it in range(1, opts.max_iters + 1):
         if state.dim + y.shape[1] > DIMENSION_CAP:
@@ -581,46 +582,38 @@ def solve(problem, opts=None, callback=None):
         norm2, _, y = state.residual(t, opts.expand_m)
         rho = norm2 / bb_floor
         report.residual_history.append((it, rho))
-        report.iterations = it
         if callback is not None:
             callback(it, rho, state.dim)
 
-        conv_now = rho < opts.tol
-        if conv_now and converged_once:
-            termination = "converged"
+        passed = rho < opts.tol
+        passes += passed
+        if passes == 2 or it == opts.max_iters:
+            termination = "converged" if passes == 2 else "max_iters"
             break
-        if it == opts.max_iters:
-            termination = "max_iters"
-            break
-
-        if conv_now or it % opts.restart_period == 0:
+        if passed or it % opts.restart_period == 0:
             t = state.truncate(t, restart_tol)
-            if conv_now:
-                converged_once = True
-
         y, kept = state.expansion(y, opts.variant == "inverse")
-        if kept == 0 and not conv_now:
-            if opts.restart_tol_growth > 1.0:
-                # grow the retention tolerance from the core's own scale so
-                # the next trim actually removes something
-                scale = float(np.abs(t).max()) if t.size else 0.0
-                floor = np.finfo(float).eps * max(scale, np.finfo(float).tiny)
-                restart_tol = opts.restart_tol_growth * max(restart_tol, floor)
-                t = state.truncate(t, restart_tol)
-                continue
-            termination = "stagnated"
-            break
+        if kept == 0 and not passed:
+            if opts.restart_tol_growth == 1.0:
+                termination = "stagnated"
+                break
+            # from the core's own scale, so that the next trim removes something
+            floor = np.finfo(float).eps * max(np.abs(t).max(initial=0.0), np.finfo(float).tiny)
+            restart_tol = opts.restart_tol_growth * max(restart_tol, floor)
+            t = state.truncate(t, restart_tol)
 
+    history = report.residual_history
+    report.iterations = len(history)
+    report.converged = bool(history and history[-1][1] < opts.tol)
     # drop nonpositive and rounding-level modes: C moves at rounding level only
     t = state.truncate(t, 0.0)
     if termination == "converged":
         # return the rank the tolerance needs, and the exact rho of it
         t = state.trim(t, (opts.tol - rho) * bb_floor)
         rho = state.residual(t, 0)[0] / bb_floor
-        report.residual_history[-1] = (report.iterations, rho)
+        history[-1] = (it, rho)
     sol = LowRankSolution(state.hand_over(), t)
 
-    report.converged = bool(conv_now)
     report.termination_reason = termination
     report.final_rank = sol.rank
     report.mvp_count = problem.mvps - mvps0

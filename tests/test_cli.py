@@ -525,6 +525,50 @@ _RAILS_ERRORS = sorted(
 )
 
 
+# Two A.mtx files of three lines whose headers declare gigabytes: a
+# 2000000000-row matrix (it cannot match the 50-row M and B) and a 50 x 50 one with
+# 900000000 entries (a truncated file).
+_HUGE_HEADERS = {
+    "shape": ("2000000000 2000000000 1", "M must match A in size"),
+    "entries": ("50 50 900000000", "Truncated file"),
+}
+
+
+class TestHeaders:
+    """The headers of A, M and B are checked before any data is read.
+
+    Each command runs in a child process under a 2 GiB address-space
+    limit, so a reader that allocates what a header declares fails the
+    test (exit 6) without taking the machine's memory.
+    """
+
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    @pytest.mark.parametrize("case", sorted(_HUGE_HEADERS))
+    def test_declared_size_is_refused_first(self, case, command, tmp_path):
+        problem = _generate_dae(tmp_path, n_diff=40, n_alg=10)
+        size, message = _HUGE_HEADERS[case]
+        (problem / "A.mtx").write_text(
+            f"%%MatrixMarket matrix coordinate real general\n{size}\n1 1 -1.0\n"
+        )
+        if command == "solve":
+            argv = ["solve", "--a", str(problem / "A.mtx"), "--m", str(problem / "M.mtx"),
+                    "--b", str(problem / "B.mtx"), "--out", str(tmp_path / "solution")]
+        else:
+            argv = ["validate", "--problem", str(problem), "--solution", str(tmp_path)]
+        probe = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from rails.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, RAILS_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert message in proc.stderr
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("error", _RAILS_ERRORS + [np.linalg.LinAlgError],
                              ids=lambda c: c.__name__)

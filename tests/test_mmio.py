@@ -7,6 +7,7 @@ from rails.mmio import (
     load_dense,
     load_sparse,
     load_solution,
+    read_header,
     save_dense,
     save_sparse,
     save_solution,
@@ -105,9 +106,27 @@ def test_solution_round_trip(tmp_path):
     assert np.array_equal(back.t, sol.t)
 
 
+def test_header_gives_the_declared_shape(tmp_path):
+    path = tmp_path / "a.mtx"
+    path.write_text(HAND_WRITTEN.replace("3 3 4", "3 5 4"))
+    assert read_header(path).shape == (3, 5)
+    save_dense(path, np.ones((7, 2)))
+    assert read_header(path).shape == (7, 2)
+
+
+def test_header_refuses_a_file_too_short_for_its_entries(tmp_path):
+    # 400 entries need at least 1600 bytes; the file has four entries
+    path = tmp_path / "a.mtx"
+    path.write_text(HAND_WRITTEN.replace("3 3 4", "3 3 400"))
+    with pytest.raises(ValueError, match="Truncated file"):
+        read_header(path)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_sparse(tmp_path / "nope.mtx")
+    with pytest.raises(OSError):
+        read_header(tmp_path / "nope.mtx")
     with pytest.raises(OSError):
         load_solution(tmp_path)
 

@@ -928,6 +928,18 @@ class TestRestartInsideSolve:
         assert grown.converged
         assert _dense_error(runs[4.0][0], a, None, b) < 1e-10
 
+    def test_the_two_passes_need_not_be_consecutive(self):
+        # The convergence trim after the first pass pushes rho back above
+        # the tolerance; the solve goes on to its second pass, four sweeps on.
+        a, _, _ = gen_diffusion(60)
+        b = np.eye(60)[:, :1]
+        opts = SolverOptions(tol=1e-2, restart_tol=1e-2)
+        _, report = solve(LyapunovProblem(a, None, b), opts)
+        passes = [it for it, rho in report.residual_history if rho < opts.tol]
+        assert passes == [7, 11]
+        assert (report.termination_reason, report.iterations) == ("converged", 11)
+        assert report.converged
+
 
 class TestFinalTrim:
     """A converged solve returns the rank its tolerance needs."""
@@ -988,6 +1000,7 @@ class TestFinalTrim:
         assert report.termination_reason == termination
         assert report.converged == (case == "converged_at_the_budget")
         assert report.residual_history[-1][1] == seen[-1]
+        assert report.iterations == len(report.residual_history) == len(seen)
         assert sol.rank > 0
 
 
@@ -999,6 +1012,7 @@ class TestSpaceCap:
                             SolverOptions(tol=1e-12))
         assert report.termination_reason == "space_cap"
         assert not report.converged
+        assert report.iterations == len(report.residual_history)
         assert 0 < sol.rank <= report.max_space_dim <= 10
 
     def test_initial_space_past_the_cap(self, monkeypatch):
@@ -1012,6 +1026,7 @@ class TestSpaceCap:
         assert not report.converged
         assert sol.rank == 0
         assert report.iterations == report.max_space_dim == 0
+        assert report.residual_history == []
         assert problem.mvps == problem.imvps == 0
 
 
