@@ -196,6 +196,18 @@ def _load_problem(a, m, b):
     return mmio.load_sparse(a), mmio.load_sparse(m), mmio.load_dense(b)
 
 
+def _load_solution(directory, n):
+    """V and T from ``directory``, with their headers checked first: V must
+    be n x r and T r x r, else ValueError before their data is read."""
+    rows, rank = mmio.read_header(os.path.join(directory, "V.mtx")).shape
+    if rows != n:
+        raise ValueError(f"solution dimension {rows} does not match problem size {n}")
+    core = mmio.read_header(os.path.join(directory, "T.mtx")).shape
+    if core != (rank, rank):
+        raise ValueError(f"core is {core[0]} x {core[1]}, expected {rank} x {rank}")
+    return mmio.load_solution(directory)
+
+
 def _cmd_solve(args):
     a, m, b = _load_problem(args.a, args.m, args.b)
     inputs = {"a": args.a, "m": args.m, "b": args.b}
@@ -236,12 +248,7 @@ def _cmd_validate(args):
         cfg = SimulationConfig(dt=args.dt, n_steps=args.steps, burn_in=args.burn_in,
                                sample_stride=args.stride, rng_seed=args.seed)
     a, m, b = _load_problem(*(os.path.join(args.problem, f"{x}.mtx") for x in "AMB"))
-    sol = mmio.load_solution(args.solution)
-    n = a.shape[0]
-    if sol.dimension != n:
-        raise ValueError(
-            f"solution dimension {sol.dimension} does not match problem size {n}"
-        )
+    sol = _load_solution(args.solution, a.shape[0])
     ok = True
     if args.oracle == "kron":
         # OracleSizeError propagates (exit 5) when n is past the cap

@@ -569,6 +569,34 @@ class TestHeaders:
         assert message in proc.stderr
 
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("V.mtx", "2000000000 1",
+         "solution dimension 2000000000 does not match problem size 50"),
+        ("T.mtx", "2000000000 2000000000", "core is 2000000000 x 2000000000"),
+    ], ids=["basis-rows", "core-shape"])
+    def test_solution_header_is_checked_first(self, name, text, message, tmp_path):
+        problem = _generate_dae(tmp_path, n_diff=40, n_alg=10)
+        solution = tmp_path / "solution"
+        assert _run("solve", "--a", str(problem / "A.mtx"), "--m", str(problem / "M.mtx"),
+                    "--b", str(problem / "B.mtx"), "--tol", "1e-8",
+                    "--out", str(solution)) == 0
+        (solution / name).write_text(
+            f"%%MatrixMarket matrix array real general\n{text}\n1.0\n")
+        probe = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from rails.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, RAILS_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", probe, "validate", "--problem",
+                               str(problem), "--solution", str(solution)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert message in proc.stderr
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("error", _RAILS_ERRORS + [np.linalg.LinAlgError],
                              ids=lambda c: c.__name__)

@@ -1,0 +1,83 @@
+"""``rails solve`` on a corpus of malformed A.mtx files.
+
+Each file stands next to the M.mtx and B.mtx of a valid 40 + 10-row DAE
+problem. A malformed file exits 2 with a one-line error. A pattern or
+integer file is a valid input, read with every value 1; its pencil is
+unstable, so it exits 4. No case may raise out of ``main``.
+"""
+
+import pytest
+
+from rails.cli import main
+
+_BANNER = "%%MatrixMarket matrix coordinate {} general\n"
+_REAL = _BANNER.format("real")
+
+
+def _identity(field, value):
+    return _BANNER.format(field) + "50 50 50\n" + "".join(
+        f"{i} {i}{value}\n" for i in range(1, 51))
+
+
+# Edits of the valid A.mtx: they take its header lines (banner, comments
+# and size line) and its entry lines, and return the new file's lines.
+def _truncated(head, entries):
+    return head + entries[:len(entries) // 2]
+
+
+def _extra_entry(head, entries):
+    return head + entries + ["1 1 -1.0\n"]
+
+
+def _duplicate_line(head, entries):
+    return head + entries[:1] + entries
+
+
+def _first_entry(text):
+    def edit(head, entries):
+        return head + [text] + entries[1:]
+    return edit
+
+
+# name -> (A.mtx text, or an edit of the valid A.mtx's lines; exit code)
+_CORPUS = {
+    "truncated": (_truncated, 2),
+    "too-many-entries": (_extra_entry, 2),
+    "duplicate-line": (_duplicate_line, 2),
+    "nan": (_first_entry("1 1 nan\n"), 2),
+    "out-of-range-index": (_first_entry("51 1 -1.0\n"), 2),
+    "zero-index": (_first_entry("0 1 -1.0\n"), 2),
+    "complex": (_BANNER.format("complex") + "50 50 1\n1 1 -1.0 0.5\n", 2),
+    "missing-banner": ("50 50 1\n1 1 -1.0\n", 2),
+    "empty": ("", 2),
+    "garbage": ("this is not a Matrix Market file\n\x01\x02\x03\n", 2),
+    "pattern": (_identity("pattern", ""), 4),
+    "integer": (_identity("integer", " 1"), 4),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_problem(tmp_path_factory):
+    problem = tmp_path_factory.mktemp("valid") / "problem"
+    assert main(["generate", "--kind", "dae", "--n-diff", "40", "--n-alg", "10",
+                 "--seed", "2", "--out", str(problem)]) == 0
+    return problem
+
+
+@pytest.mark.parametrize("case", list(_CORPUS))
+def test_malformed_a_exits_with_one_line(case, valid_problem, tmp_path, capsys):
+    content, expected = _CORPUS[case]
+    if callable(content):
+        lines = (valid_problem / "A.mtx").read_text().splitlines(keepends=True)
+        start = 1 + next(i for i, line in enumerate(lines) if not line.startswith("%"))
+        assert lines[0] == _REAL and len(lines) > start + 1
+        content = "".join(content(lines[:start], lines[start:]))
+    a = tmp_path / "A.mtx"
+    a.write_text(content)
+    capsys.readouterr()
+    code = main(["solve", "--a", str(a), "--m", str(valid_problem / "M.mtx"),
+                 "--b", str(valid_problem / "B.mtx"), "--out", str(tmp_path / "solution")])
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "solution").exists()

@@ -55,6 +55,39 @@ class TestRandomSparse:
         _per_row_oracle(oracle_rng, 30, 40, 3, 1.0)
         assert rng.random() == oracle_rng.random()
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached-half"])
+    @pytest.mark.parametrize("n_rows", [299, 300], ids=["odd-rows", "even-rows"])
+    @pytest.mark.parametrize("n_cols", [3 * 2**30, 10001, 2**32],
+                             ids=["redraws", "no-redraws", "full-32-bit-range"])
+    def test_bit_stream_and_state_match_the_oracle(self, monkeypatch, n_cols, n_rows,
+                                                   cached):
+        # Five bounded draws a row, so a row ends with the 32-bit cache
+        # flipped and the row count sets the cache a block leaves behind.
+        # At 3 * 2**30 columns about 1/4 of the column draws are redrawn,
+        # and every row that needs one is drawn by _draw_row.
+        redrawn = []
+
+        def draw_row(*args):
+            redrawn.append(args)
+            return draw_row.wrapped(*args)
+
+        draw_row.wrapped = testproblems._draw_row
+        monkeypatch.setattr(testproblems, "_draw_row", draw_row)
+        rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+        if cached:
+            rng.integers(2**20, dtype=np.uint32)
+            oracle_rng.integers(2**20, dtype=np.uint32)
+        got = testproblems._random_sparse(rng, n_rows, n_cols, 3, 1.0)
+        expected = _per_row_oracle(oracle_rng, n_rows, n_cols, 3, 1.0)
+        _assert_same_bytes(got, expected)
+        assert (len(redrawn) > n_rows // 4) == (n_cols == 3 * 2**30)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert rng.random() == oracle_rng.random()
+
+    def test_column_counts_past_32_bits_are_refused(self):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            testproblems._random_sparse(np.random.default_rng(0), 2, 2**32 + 1, 3, 1.0)
+
     @pytest.mark.parametrize("n_diff, n_alg, coupling", [
         (20, 6, 1.0),    # the shift doubles once: both attempts' draws count
         (8, 0, 0.3),     # no algebraic rows
@@ -70,7 +103,28 @@ class TestRandomSparse:
         assert np.array_equal(got[2], expected[2])
 
 
+    def test_gen_dae_at_full_size_matches_the_oracle(self, monkeypatch):
+        # The 50000 + 10000-row pencil of the CLI example: several
+        # vectorized passes a block, and a redrawn column draw
+        got = gen_dae(50000, 10000, rng_seed=0)
+        monkeypatch.setattr(testproblems, "_random_sparse", _per_row_oracle)
+        expected = gen_dae(50000, 10000, rng_seed=0)
+        for g, e in zip(got[:2], expected[:2]):
+            _assert_same_bytes(g, e)
+
+
 class TestGenDiffusion:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 500])
+    def test_bytes_match_a_diagonal_construction(self, n):
+        a, _, _ = gen_diffusion(n, scale=0.7)
+        h2 = 0.7 * (n + 1) ** 2
+        off = np.full(n - 1, h2)
+        expected = sparse.diags([off, np.full(n, -2.0 * h2), off], [-1, 0, 1],
+                                format="csr")
+        _assert_same_bytes(a, expected)
+        assert a.indices.dtype == np.int32
+        assert a.has_canonical_format
+
     def test_smallest_grid(self):
         a, m, sites = gen_diffusion(2)
         # Grid spacing 1/3 gives the scale factor 9.
