@@ -44,7 +44,6 @@ from . import __version__, mmio, solver, testproblems
 from .analysis import eofs, write_eigenvalue_csv, write_eof_csv
 from .dae import partition
 from .errors import OracleSizeError, RailsError
-from .matrices import _check_pencil
 from .oracles import SimulationConfig, euler_maruyama_covariance, kron_solve_dae
 
 EXIT_OK = 0
@@ -188,28 +187,8 @@ def _cmd_generate(args):
     return EXIT_OK
 
 
-def _load_problem(a, m, b):
-    """A, M and B from their files, with the shapes and sizes their headers
-    declare checked first: a mismatch or a truncated file is refused before
-    anything is allocated for its data."""
-    _check_pencil(*map(mmio.read_header, (a, m, b)))
-    return mmio.load_sparse(a), mmio.load_sparse(m), mmio.load_dense(b)
-
-
-def _load_solution(directory, n):
-    """V and T from ``directory``, with their headers checked first: V must
-    be n x r and T r x r, else ValueError before their data is read."""
-    rows, rank = mmio.read_header(os.path.join(directory, "V.mtx")).shape
-    if rows != n:
-        raise ValueError(f"solution dimension {rows} does not match problem size {n}")
-    core = mmio.read_header(os.path.join(directory, "T.mtx")).shape
-    if core != (rank, rank):
-        raise ValueError(f"core is {core[0]} x {core[1]}, expected {rank} x {rank}")
-    return mmio.load_solution(directory)
-
-
 def _cmd_solve(args):
-    a, m, b = _load_problem(args.a, args.m, args.b)
+    a, m, b = mmio.load_problem(args.a, args.m, args.b)
     inputs = {"a": args.a, "m": args.m, "b": args.b}
     given = {
         k: v for k, v in vars(args).items() if k not in ("command", "out", *inputs)
@@ -247,8 +226,8 @@ def _cmd_validate(args):
     if args.simulate:
         cfg = SimulationConfig(dt=args.dt, n_steps=args.steps, burn_in=args.burn_in,
                                sample_stride=args.stride, rng_seed=args.seed)
-    a, m, b = _load_problem(*(os.path.join(args.problem, f"{x}.mtx") for x in "AMB"))
-    sol = _load_solution(args.solution, a.shape[0])
+    a, m, b = mmio.load_problem(*(os.path.join(args.problem, f"{x}.mtx") for x in "AMB"))
+    sol = mmio.load_solution(args.solution, a.shape[0])
     ok = True
     if args.oracle == "kron":
         # OracleSizeError propagates (exit 5) when n is past the cap

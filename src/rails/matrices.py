@@ -101,12 +101,15 @@ def _lapack(routine, *args, query=False, **kwargs):
 _DROP_TOL = 1e-8
 
 
+@np.errstate(over="ignore")  # an overflowing norm raises below, unwarned
 def _gram_schmidt(against, out, x, drop_tol):
     """Orthonormalize the columns of ``x`` against the orthonormal columns
     of ``against`` (n x p, not modified), writing the new directions into
     ``out``, which has at least as many columns as ``x``. Returns (kept, c):
     Q = [against, out[:, :kept]] is orthonormal and x = Q c, but for what a
     column dropped as dependent leaves out, at most ``drop_tol`` of its norm.
+    A nonzero column whose squared norm overflows, or underflows to 0,
+    cannot be judged so: it raises LinAlgError.
     Each column is projected off ``against`` and the directions accepted
     before it twice, and a third time when the second pass still removed
     more than half of the remainder (Daniel, Gragg, Kaufman & Stewart
@@ -122,6 +125,11 @@ def _gram_schmidt(against, out, x, drop_tol):
         if kept:
             bases.append((cj[p : p + kept], out[:, :kept]))
         norm0 = norm = np.sqrt(v @ v)
+        if not 0.0 < norm0 < np.inf and (norm0 or v.any()):
+            raise np.linalg.LinAlgError(
+                f"a squared column norm of {norm0 * norm0:.1e} leaves the double range; "
+                f"rescale the problem"
+            )
         for npass in range(3):
             for coef, basis in bases:
                 h = basis.T @ v

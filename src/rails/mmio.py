@@ -13,10 +13,11 @@ import scipy.io
 import scipy.sparse as sparse
 
 from .lowrank import LowRankSolution
-from .matrices import as_matrix, check_sparse
+from .matrices import _check_pencil, as_matrix, check_sparse
 
 __all__ = [
     "read_header",
+    "load_problem",
     "load_sparse",
     "save_sparse",
     "load_dense",
@@ -38,16 +39,32 @@ def _existing(path):
 def read_header(path):
     """The shape a Matrix Market file declares, read from its header alone
     (``scipy.io.mminfo``), as an object with a ``shape``, so that
-    ``_check_pencil`` can check a pencil before its data is read. A
-    coordinate file of fewer than 4 bytes a declared entry (the shortest
-    entry is "1 1" and a newline) is a truncated file: ValueError.
-    Compressed files (.gz, .bz2) are not sized."""
+    ``_check_pencil`` can check a pencil before its data is read. A file
+    too short for what it declares is a truncated file (ValueError): a
+    coordinate file needs 4 bytes an entry (the shortest is "1 1" and a
+    newline), an array file 2 bytes a stored value (a digit and a newline),
+    and a symmetric or skew-symmetric array stores only its lower triangle,
+    n(n+1)/2 or n(n-1)/2 values. Compressed files (.gz, .bz2) are not
+    sized."""
     path = _existing(path)
-    rows, cols, entries, layout, _, _ = scipy.io.mminfo(path)
+    rows, cols, entries, layout, _, symmetry = scipy.io.mminfo(path)
+    width = 4 if layout == "coordinate" else 2
+    if layout == "array":
+        diagonal = {"symmetric": 1, "hermitian": 1, "skew-symmetric": -1}.get(symmetry)
+        entries = rows * cols if diagonal is None else rows * (rows + diagonal) // 2
     size = os.path.getsize(path)
-    if layout == "coordinate" and not path.endswith((".gz", ".bz2")) and size < 4 * entries:
+    if not path.endswith((".gz", ".bz2")) and size < width * entries:
         raise ValueError(f"Truncated file: {path} declares {entries} entries in {size} bytes")
     return SimpleNamespace(shape=(rows, cols))
+
+
+def load_problem(a, m, b):
+    """A, M and B from the files ``a``, ``m`` and ``b``, with the shapes and
+    sizes their headers declare checked first (``_check_pencil``): a
+    mismatch or a truncated file is refused before anything is allocated
+    for its data."""
+    _check_pencil(*map(read_header, (a, m, b)))
+    return load_sparse(a), load_sparse(m), load_dense(b)
 
 
 def load_sparse(path):
@@ -83,8 +100,18 @@ def save_solution(directory, sol):
     save_dense(os.path.join(directory, "T.mtx"), sol.t)
 
 
-def load_solution(directory):
-    """Read the V.mtx and T.mtx that ``save_solution`` wrote."""
-    v = load_dense(os.path.join(directory, "V.mtx"))
-    t = load_dense(os.path.join(directory, "T.mtx"))
-    return LowRankSolution(v, t)
+def load_solution(directory, n=None):
+    """Read the V.mtx and T.mtx that ``save_solution`` wrote, with their
+    headers checked first: V must be n x r (any n when ``n`` is None) and
+    T r x r, and neither file may be truncated (``read_header``), else
+    ValueError before their data is read."""
+    v, t = (os.path.join(directory, name) for name in ("V.mtx", "T.mtx"))
+    rows, rank = scipy.io.mminfo(_existing(v))[:2]
+    if n is not None and rows != n:
+        raise ValueError(f"solution dimension {rows} does not match problem size {n}")
+    core = scipy.io.mminfo(_existing(t))[:2]
+    if core != (rank, rank):
+        raise ValueError(f"core is {core[0]} x {core[1]}, expected {rank} x {rank}")
+    read_header(v)
+    read_header(t)
+    return LowRankSolution(load_dense(v), load_dense(t))

@@ -553,12 +553,21 @@ def solve(problem, opts=None, callback=None):
     mode of the tolerance-0 trim and the last sweep's rho. Each rho =
     ||R||_2 / ||B||_2^2 is exact up to the basis drop tolerance (module
     docstring). ``report.converged`` is the last sweep's rho < tol, so it
-    is True when the budget ends on a first pass too.
+    is True when the budget ends on a first pass too. A nonzero B whose
+    ||B||_2^2 is outside the normal double range, or a nonzero column of
+    the space whose squared norm overflows or underflows to 0, raises
+    LinAlgError: rho could not be trusted.
     """
     if opts is None:
         opts = SolverOptions()
     mvps0, imvps0 = problem.mvps, problem.imvps
     report = SolveReport()
+    tiny = np.finfo(float).tiny
+    with np.errstate(over="ignore"):
+        bb = np.linalg.norm(problem.b, 2) ** 2
+    if not tiny <= bb < np.inf and problem.b.any():
+        raise np.linalg.LinAlgError(f"||B||_2^2 = {bb:.1e} leaves the double range; rescale B")
+    bb_floor = max(bb, tiny)  # tiny for B = 0
     state = _State(problem)
     y, kept = orthonormalize(state.absorb(_initial_space(problem, opts)))
     if kept == 0 and opts.initial_space != "given":
@@ -566,7 +575,6 @@ def solve(problem, opts=None, callback=None):
             f"initial space {opts.initial_space!r} produced no independent columns"
         )
 
-    bb_floor = max(np.linalg.norm(problem.b, 2) ** 2, np.finfo(float).tiny)
     passes = 0  # sweeps whose rho met the tolerance
     restart_tol = opts.restart_tol
     t = np.zeros((0, 0))
@@ -598,7 +606,7 @@ def solve(problem, opts=None, callback=None):
                 termination = "stagnated"
                 break
             # from the core's own scale, so that the next trim removes something
-            floor = np.finfo(float).eps * max(np.abs(t).max(initial=0.0), np.finfo(float).tiny)
+            floor = np.finfo(float).eps * max(np.abs(t).max(initial=0.0), tiny)
             restart_tol = opts.restart_tol_growth * max(restart_tol, floor)
             t = state.truncate(t, restart_tol)
 

@@ -195,6 +195,25 @@ class TestSolve:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("scale, code", [("1", 0), ("1e140", 0), ("1e155", 4)])
+    def test_scale_out_of_double_range_is_structural_error(self, tmp_path, capsys,
+                                                           scale, code):
+        # at scale 1e155 the squared norms of A's images overflow: dropped
+        # as dependent, they would make the solve report a false convergence
+        problem = tmp_path / "problem"
+        assert _run("generate", "--kind", "diffusion", "--n", "40", "--scale", scale,
+                    "--pattern", "row-sum", "--out", str(problem)) == 0
+        capsys.readouterr()
+        assert _run("solve", "--a", str(problem / "A.mtx"), "--m", str(problem / "M.mtx"),
+                    "--b", str(problem / "B.mtx"), "--tol", "1e-6",
+                    "--out", str(tmp_path / "solution")) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.endswith("rescale the problem\n")
+            assert not (tmp_path / "solution").exists()
+        else:
+            assert "rank=8" in captured.out
+
     @pytest.mark.parametrize("name", ["A", "B"])
     def test_complex_input_is_usage_error(self, tmp_path, capsys, name):
         # the imaginary part used to be dropped with only a ComplexWarning
@@ -569,19 +588,26 @@ class TestHeaders:
         assert message in proc.stderr
 
 
-    @pytest.mark.parametrize("name, text, message", [
-        ("V.mtx", "2000000000 1",
+    @pytest.mark.parametrize("command, files, message", [
+        ("validate", {"V.mtx": "2000000000 1"},
          "solution dimension 2000000000 does not match problem size 50"),
-        ("T.mtx", "2000000000 2000000000", "core is 2000000000 x 2000000000"),
-    ], ids=["basis-rows", "core-shape"])
-    def test_solution_header_is_checked_first(self, name, text, message, tmp_path):
+        ("validate", {"T.mtx": "2000000000 2000000000"}, "core is 2000000000 x 2000000000"),
+        ("analyze", {"V.mtx": "2000000000 1", "T.mtx": "1 1"},
+         "declares 2000000000 entries"),
+    ], ids=["basis-rows", "core-shape", "analyze-basis-size"])
+    def test_solution_header_is_checked_first(self, command, files, message, tmp_path):
         problem = _generate_dae(tmp_path, n_diff=40, n_alg=10)
         solution = tmp_path / "solution"
         assert _run("solve", "--a", str(problem / "A.mtx"), "--m", str(problem / "M.mtx"),
                     "--b", str(problem / "B.mtx"), "--tol", "1e-8",
                     "--out", str(solution)) == 0
-        (solution / name).write_text(
-            f"%%MatrixMarket matrix array real general\n{text}\n1.0\n")
+        for name, text in files.items():
+            (solution / name).write_text(
+                f"%%MatrixMarket matrix array real general\n{text}\n1.0\n")
+        if command == "validate":
+            argv = ["validate", "--problem", str(problem), "--solution", str(solution)]
+        else:
+            argv = ["analyze", "--solution", str(solution), "--out", str(tmp_path / "eofs")]
         probe = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
@@ -589,8 +615,7 @@ class TestHeaders:
             "sys.exit(main(sys.argv[1:]))\n"
         )
         env = dict(os.environ, RAILS_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
-        proc = subprocess.run([sys.executable, "-c", probe, "validate", "--problem",
-                               str(problem), "--solution", str(solution)],
+        proc = subprocess.run([sys.executable, "-c", probe, *argv],
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

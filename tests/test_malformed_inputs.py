@@ -1,13 +1,21 @@
-"""``rails solve`` on a corpus of malformed A.mtx files.
+"""``rails solve`` on a corpus of malformed A.mtx files, and ``rails
+validate`` and ``rails analyze`` on a corpus of malformed V.mtx and T.mtx
+files.
 
-Each file stands next to the M.mtx and B.mtx of a valid 40 + 10-row DAE
+Each A.mtx stands next to the M.mtx and B.mtx of a valid 40 + 10-row DAE
 problem. A malformed file exits 2 with a one-line error. A pattern or
 integer file is a valid input, read with every value 1; its pencil is
-unstable, so it exits 4. No case may raise out of ``main``.
+unstable, so it exits 4. Each V.mtx or T.mtx replaces one file of that
+problem's solution and exits 2 with a one-line error. No case may raise out
+of ``main``.
 """
 
+import shutil
+
+import numpy as np
 import pytest
 
+from rails import mmio
 from rails.cli import main
 
 _BANNER = "%%MatrixMarket matrix coordinate {} general\n"
@@ -81,3 +89,64 @@ def test_malformed_a_exits_with_one_line(case, valid_problem, tmp_path, capsys):
     assert code == expected, err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "solution").exists()
+
+
+def _array(a, field="real"):
+    """Matrix Market array text of ``a``; a complex file gets imaginary
+    parts 0.5."""
+    imag = " 0.5" if field == "complex" else ""
+    return (f"%%MatrixMarket matrix array {field} general\n{a.shape[0]} {a.shape[1]}\n"
+            + "".join(f"{float(x)!r}{imag}\n" for x in a.T.ravel()))
+
+
+def _with_nan(a):
+    a = a.copy()
+    a[0, 0] = np.nan
+    return a
+
+
+def _half_lines(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:len(lines) // 2])
+
+
+# name -> the files that replace the valid solution's, from its V and T
+_SOLUTION_CORPUS = {
+    "nan": lambda v, t: {"V.mtx": _array(_with_nan(v))},
+    "complex": lambda v, t: {"V.mtx": _array(v, "complex")},
+    "truncated": lambda v, t: {"V.mtx": _half_lines(_array(v))},
+    "t-not-square": lambda v, t: {"T.mtx": _array(t[:, :-1])},
+    "t-not-symmetric": lambda v, t: {"T.mtx": _array(t + np.triu(np.ones_like(t), 1))},
+    "rank-mismatch": lambda v, t: {"T.mtx": _array(t[:-1, :-1])},
+}
+
+
+@pytest.fixture(scope="module")
+def valid_solution(valid_problem):
+    solution = valid_problem.parent / "solution"
+    assert main(["solve", "--a", str(valid_problem / "A.mtx"),
+                 "--m", str(valid_problem / "M.mtx"), "--b", str(valid_problem / "B.mtx"),
+                 "--tol", "1e-8", "--out", str(solution)]) == 0
+    return solution
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("case", list(_SOLUTION_CORPUS))
+def test_malformed_solution_exits_with_one_line(case, command, valid_problem,
+                                                valid_solution, tmp_path, capsys):
+    sol = mmio.load_solution(valid_solution)
+    assert sol.rank >= 2
+    solution = tmp_path / "solution"
+    shutil.copytree(valid_solution, solution)
+    for name, text in _SOLUTION_CORPUS[case](sol.v, sol.t).items():
+        (solution / name).write_text(text)
+    if command == "validate":
+        argv = ["validate", "--problem", str(valid_problem), "--solution", str(solution)]
+    else:
+        argv = ["analyze", "--solution", str(solution), "--out", str(tmp_path / "eofs")]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "eofs").exists()

@@ -99,6 +99,14 @@ class TestOrthonormalize:
         q, kept = orthonormalize(w)
         assert kept == 1
 
+    @pytest.mark.parametrize("value", [1e155, 1e-170])
+    def test_column_norm_out_of_double_range_raises(self, value):
+        # the squared norm overflows or underflows to 0: dropping the
+        # column as dependent would be a guess
+        w = np.array([[1.0, value], [0.0, value]])
+        with pytest.raises(np.linalg.LinAlgError, match="rescale"):
+            orthonormalize(w)
+
     def test_span_matches_qr(self):
         rng = np.random.default_rng(4)
         w = rng.standard_normal((50, 8))

@@ -122,6 +122,28 @@ def test_header_refuses_a_file_too_short_for_its_entries(tmp_path):
         read_header(path)
 
 
+@pytest.mark.parametrize("symmetry, stored", [
+    ("general", 100 * 100), ("symmetric", 100 * 101 // 2), ("skew-symmetric", 100 * 99 // 2),
+])
+def test_header_sizes_array_files_by_stored_values(tmp_path, symmetry, stored):
+    # every stored value takes at least 2 bytes; a symmetric array stores
+    # its lower triangle, a skew-symmetric one its strict lower triangle
+    path = tmp_path / "a.mtx"
+    banner = f"%%MatrixMarket matrix array real {symmetry}\n100 100\n"
+    path.write_text(banner + "0\n" * stored)
+    assert read_header(path).shape == (100, 100)
+    path.write_text(banner + "0\n" * (stored - 50))
+    with pytest.raises(ValueError, match=f"declares {stored} entries"):
+        read_header(path)
+
+
+def test_solution_rows_checked_against_n(tmp_path):
+    save_solution(tmp_path, LowRankSolution(np.eye(3)[:, :2], np.eye(2)))
+    assert load_solution(tmp_path, 3).rank == 2
+    with pytest.raises(ValueError, match="solution dimension 3 does not match problem size 4"):
+        load_solution(tmp_path, 4)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_sparse(tmp_path / "nope.mtx")

@@ -296,6 +296,29 @@ def test_non_integer_counts_rejected(name, make):
         make()
 
 
+class TestDoubleRange:
+    """Norms that leave the double range raise LinAlgError: a column whose
+    squared norm overflows or vanishes cannot be judged dependent, and
+    dropping it would make rho read a false convergence."""
+
+    @pytest.mark.parametrize("scale_a, scale_b", [
+        (1e155, 1.0), (1e-170, 1.0), (1.0, 1e-160), (1.0, 1e160),
+    ], ids=["a-overflows", "a-underflows", "b-underflows", "b-overflows"])
+    def test_out_of_range_scale_raises(self, scale_a, scale_b):
+        a, _, sites = gen_diffusion(40)
+        b = gen_forcing(sites, 40, "row_sum_vector").b
+        problem = LyapunovProblem(a * scale_a, None, b * scale_b)
+        with pytest.raises(np.linalg.LinAlgError, match="rescale"):
+            solve(problem, SolverOptions(tol=1e-6))
+
+    def test_zero_forcing_converges_at_rank_zero(self):
+        a, _, _ = gen_diffusion(40)
+        sol, report = solve(LyapunovProblem(a, None, np.zeros((40, 1))),
+                            SolverOptions(tol=1e-6))
+        assert report.converged
+        assert sol.rank == 0
+
+
 class TestProblemValidation:
     @pytest.mark.parametrize("a, m, b, message", [
         (np.ones((2, 3)), None, np.ones((2, 1)), "A must be square"),
