@@ -24,13 +24,11 @@ Run as a program (``rails`` or ``python -m rails.cli``; ``main`` then reads
 hundreds of thousands of objects the numpy and scipy imports leave behind
 then stay out of every garbage collection, including the ones interpreter
 shutdown runs, which otherwise took about 0.1 s of each process (2-core
-VM). It also fixes glibc's mmap threshold (``_fix_mmap_threshold``). A
-call with an explicit argument list, as from a test or another program,
-changes no collector or allocator state.
+VM). A call with an explicit argument list, as from a test or another
+program, changes no collector state.
 """
 
 import argparse
-import ctypes
 import dataclasses
 import gc
 import json
@@ -65,26 +63,6 @@ _SPACES = {
     "b": "columns_of_b",
     "inverse-b": "inverse_applied_to_b",
 }
-
-# glibc's mallopt parameter, and numpy's size for a large array
-_M_MMAP_THRESHOLD = -3
-_LARGE_ARRAY_BYTES = 4 << 20
-
-
-def _fix_mmap_threshold():
-    """Give every array of 4 MiB or more its own mapping (glibc only).
-
-    By default glibc raises its mmap threshold to the size of each mapped
-    block that is freed, so the n x k blocks of a solve move to the heap,
-    whose fragmentation made the peak memory of one ``rails solve`` 158
-    or 171 MB at random (60000-row DAE). A fixed threshold stays fixed.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, _LARGE_ARRAY_BYTES)
-
 
 def _write_json(path, data):
     with open(path, "w") as fh:
@@ -281,10 +259,8 @@ def _cmd_analyze(args):
 
 def main(argv=None):
     if argv is None:
-        # a process of its own: the import-time heap lives until exit, and
-        # the allocator is ours to set
+        # a process of its own: the import-time heap lives until exit
         gc.freeze()
-        _fix_mmap_threshold()
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {

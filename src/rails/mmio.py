@@ -2,7 +2,9 @@
 
 Sparse operators travel as coordinate files, dense factors as array files.
 Readers are lenient about which of the two kinds they receive; writers are
-strict so that identical inputs produce byte-identical files.
+strict so that identical inputs produce byte-identical files. The checked
+loaders (``load_problem``, ``load_solution``) refuse compressed files
+(.gz, .bz2), whose byte size says nothing of what they hold.
 """
 
 import os
@@ -44,16 +46,18 @@ def read_header(path):
     coordinate file needs 4 bytes an entry (the shortest is "1 1" and a
     newline), an array file 2 bytes a stored value (a digit and a newline),
     and a symmetric or skew-symmetric array stores only its lower triangle,
-    n(n+1)/2 or n(n-1)/2 values. Compressed files (.gz, .bz2) are not
-    sized."""
+    n(n+1)/2 or n(n-1)/2 values. A compressed file (.gz, .bz2) cannot be
+    sized so and is refused (ValueError) before its header is read."""
     path = _existing(path)
+    if path.endswith((".gz", ".bz2")):
+        raise ValueError(f"Compressed file: {path}; decompress it first")
     rows, cols, entries, layout, _, symmetry = scipy.io.mminfo(path)
     width = 4 if layout == "coordinate" else 2
     if layout == "array":
         diagonal = {"symmetric": 1, "hermitian": 1, "skew-symmetric": -1}.get(symmetry)
         entries = rows * cols if diagonal is None else rows * (rows + diagonal) // 2
     size = os.path.getsize(path)
-    if not path.endswith((".gz", ".bz2")) and size < width * entries:
+    if size < width * entries:
         raise ValueError(f"Truncated file: {path} declares {entries} entries in {size} bytes")
     return SimpleNamespace(shape=(rows, cols))
 
@@ -61,8 +65,8 @@ def read_header(path):
 def load_problem(a, m, b):
     """A, M and B from the files ``a``, ``m`` and ``b``, with the shapes and
     sizes their headers declare checked first (``_check_pencil``): a
-    mismatch or a truncated file is refused before anything is allocated
-    for its data."""
+    mismatch, a truncated file or a compressed one is refused before
+    anything is allocated for its data."""
     _check_pencil(*map(read_header, (a, m, b)))
     return load_sparse(a), load_sparse(m), load_dense(b)
 

@@ -77,6 +77,22 @@ _W_GROWTH = 1.25
 _ROW_BLOCK = 4096
 
 
+def _without_negligible_columns(b):
+    """``b``, or a copy with each column zeroed whose squared norm underflows
+    to 0 while max|b_j| sqrt(n) <= ``_W_DROP_TOL`` times the largest finite
+    column norm: W would drop it, but ``_gram_schmidt`` could not judge it."""
+    with np.errstate(over="ignore"):
+        sq = np.einsum("ij,ij->j", b, b)
+    zero = np.flatnonzero(sq == 0)
+    peak = np.abs(b[:, zero]).max(axis=0, initial=0.0)
+    top = np.sqrt(sq[sq < np.inf].max(initial=0.0))
+    drop = zero[(peak > 0) & (peak * np.sqrt(b.shape[0]) <= _W_DROP_TOL * top)]
+    if drop.size:
+        b = b.copy()
+        b[:, drop] = 0.0
+    return b
+
+
 class LyapunovProblem:
     """A C M' + M C A' + B B' = 0 described through operator actions.
 
@@ -90,7 +106,8 @@ class LyapunovProblem:
     m : sparse matrix or None
         Mass action; None means identity (applications are free, not
         counted as MVPs, and return their operand).
-    b : ndarray (n, s), s >= 1.
+    b : ndarray (n, s), s >= 1. Not written: a negligible column too small
+        to square is zeroed in a copy (``_without_negligible_columns``).
 
     Attributes
     ----------
@@ -114,10 +131,11 @@ class LyapunovProblem:
         self._a = a
         self.identity_mass = m is None
         self._m_mat = None if m is None else check_sparse(m)
-        self.b = as_matrix(b)
-        self.dimension = _check_pencil(a, self._m_mat, self.b)
-        if self.b.shape[1] < 1:
+        b = as_matrix(b)
+        self.dimension = _check_pencil(a, self._m_mat, b)
+        if b.shape[1] < 1:
             raise ValueError("B must have at least one column")
+        self.b = _without_negligible_columns(b)
         self.mvps = 0
         self.imvps = 0
 

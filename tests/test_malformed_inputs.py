@@ -3,13 +3,14 @@ validate`` and ``rails analyze`` on a corpus of malformed V.mtx and T.mtx
 files.
 
 Each A.mtx stands next to the M.mtx and B.mtx of a valid 40 + 10-row DAE
-problem. A malformed file exits 2 with a one-line error. A pattern or
-integer file is a valid input, read with every value 1; its pencil is
-unstable, so it exits 4. Each V.mtx or T.mtx replaces one file of that
+problem. A malformed file exits 2 with a one-line error, and so does a
+compressed A.mtx.gz. A pattern or integer file is a valid input, read with
+every value 1; its pencil is unstable, so it exits 4. Each V.mtx or T.mtx replaces one file of that
 problem's solution and exits 2 with a one-line error. No case may raise out
 of ``main``.
 """
 
+import gzip
 import shutil
 
 import numpy as np
@@ -72,6 +73,17 @@ def valid_problem(tmp_path_factory):
     return problem
 
 
+def _solve_exits_with_one_line(a, expected, valid_problem, tmp_path, capsys):
+    capsys.readouterr()
+    code = main(["solve", "--a", str(a), "--m", str(valid_problem / "M.mtx"),
+                 "--b", str(valid_problem / "B.mtx"), "--out", str(tmp_path / "solution")])
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "solution").exists()
+    return err
+
+
 @pytest.mark.parametrize("case", list(_CORPUS))
 def test_malformed_a_exits_with_one_line(case, valid_problem, tmp_path, capsys):
     content, expected = _CORPUS[case]
@@ -82,13 +94,16 @@ def test_malformed_a_exits_with_one_line(case, valid_problem, tmp_path, capsys):
         content = "".join(content(lines[:start], lines[start:]))
     a = tmp_path / "A.mtx"
     a.write_text(content)
-    capsys.readouterr()
-    code = main(["solve", "--a", str(a), "--m", str(valid_problem / "M.mtx"),
-                 "--b", str(valid_problem / "B.mtx"), "--out", str(tmp_path / "solution")])
-    err = capsys.readouterr().err
-    assert code == expected, err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (tmp_path / "solution").exists()
+    _solve_exits_with_one_line(a, expected, valid_problem, tmp_path, capsys)
+
+
+def test_compressed_a_exits_with_one_line(valid_problem, tmp_path, capsys):
+    # about 80 bytes that declare 900000000 entries: the byte size of a
+    # compressed file says nothing of its entries, so it is refused unread
+    a = tmp_path / "A.mtx.gz"
+    a.write_bytes(gzip.compress((_REAL + "50 50 900000000\n1 1 -1.0\n").encode()))
+    err = _solve_exits_with_one_line(a, 2, valid_problem, tmp_path, capsys)
+    assert str(a) in err and "decompress" in err
 
 
 def _array(a, field="real"):

@@ -311,6 +311,28 @@ class TestDoubleRange:
         with pytest.raises(np.linalg.LinAlgError, match="rescale"):
             solve(problem, SolverOptions(tol=1e-6))
 
+    @pytest.mark.parametrize("variant, rho", [
+        ("standard", 1.094e-7), ("inverse", 1.143e-7),
+    ])
+    def test_negligible_column_of_b_is_zeroed(self, variant, rho):
+        # the second column adds about 1e-340 to BB': its squared norm
+        # underflows, so the problem zeroes it in a copy of B, and the solve
+        # is that of B with the column 0
+        a, _, _ = gen_diffusion(40)
+        b = np.zeros((40, 2))
+        b[:, 0] = 1.0
+        b[4, 1] = 1e-170
+        given = b.copy()
+        zeroed = b.copy()
+        zeroed[:, 1] = 0.0
+        opts = SolverOptions(tol=1e-6, variant=variant)
+        (sol, report), (ref, _) = (solve(LyapunovProblem(a, None, x), opts)
+                                   for x in (b, zeroed))
+        np.testing.assert_array_equal(b, given)
+        assert report.converged and sol.rank == 8
+        assert report.residual_history[-1][1] == pytest.approx(rho, rel=1e-3)
+        assert np.array_equal(sol.v, ref.v) and np.array_equal(sol.t, ref.t)
+
     def test_zero_forcing_converges_at_rank_zero(self):
         a, _, _ = gen_diffusion(40)
         sol, report = solve(LyapunovProblem(a, None, np.zeros((40, 1))),
