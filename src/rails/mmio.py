@@ -2,9 +2,9 @@
 
 Sparse operators travel as coordinate files, dense factors as array files.
 Readers are lenient about which of the two kinds they receive; writers are
-strict so that identical inputs produce byte-identical files. The checked
-loaders (``load_problem``, ``load_solution``) refuse compressed files
-(.gz, .bz2), whose byte size says nothing of what they hold.
+strict so that identical inputs produce byte-identical files. Every reader
+checks its file's header first (``read_header``); the loaders
+(``load_problem``, ``load_solution``) add the cross-file shape rules.
 """
 
 import os
@@ -72,8 +72,9 @@ def load_problem(a, m, b):
 
 
 def load_sparse(path):
-    """Read a Matrix Market file as a validated CSR matrix."""
-    a = scipy.io.mmread(_existing(path))
+    """A Matrix Market file, its header checked first (``read_header``), as a CSR matrix."""
+    read_header(path)
+    a = scipy.io.mmread(os.fspath(path))
     if not sparse.issparse(a):
         a = sparse.csr_matrix(np.atleast_2d(a))
     return check_sparse(a)
@@ -85,8 +86,9 @@ def save_sparse(path, a):
 
 
 def load_dense(path):
-    """Read a Matrix Market file as a dense float64 matrix."""
-    a = scipy.io.mmread(_existing(path))
+    """A Matrix Market file, its header checked first (``read_header``), as a dense array."""
+    read_header(path)
+    a = scipy.io.mmread(os.fspath(path))
     if sparse.issparse(a):
         a = a.toarray()
     return as_matrix(np.atleast_2d(a))
@@ -107,7 +109,7 @@ def save_solution(directory, sol):
 def load_solution(directory, n=None):
     """Read the V.mtx and T.mtx that ``save_solution`` wrote, with their
     headers checked first: V must be n x r (any n when ``n`` is None) and
-    T r x r, and neither file may be truncated (``read_header``), else
+    T r x r, and neither file may be truncated (``load_dense``), else
     ValueError before their data is read."""
     v, t = (os.path.join(directory, name) for name in ("V.mtx", "T.mtx"))
     rows, rank = scipy.io.mminfo(_existing(v))[:2]
@@ -116,6 +118,4 @@ def load_solution(directory, n=None):
     core = scipy.io.mminfo(_existing(t))[:2]
     if core != (rank, rank):
         raise ValueError(f"core is {core[0]} x {core[1]}, expected {rank} x {rank}")
-    read_header(v)
-    read_header(t)
     return LowRankSolution(load_dense(v), load_dense(t))

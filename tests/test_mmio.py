@@ -1,3 +1,8 @@
+import gzip
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -158,3 +163,41 @@ def test_malformed_file_rejected(tmp_path):
     path.write_text("this is not a matrix market file\n")
     with pytest.raises(ValueError):
         load_sparse(path)
+
+
+# A three-line coordinate file that declares 900000000 entries (71 bytes),
+# its gzipped copy, and a two-line array file that declares 2000000000 x 1
+# values (58 bytes), each with the refusal its header earns.
+_HUGE_A = "%%MatrixMarket matrix coordinate real general\n50 50 900000000\n1 1 -1.0\n"
+_HUGE_FILES = {
+    "A.mtx": (_HUGE_A, "Truncated file"),
+    "A.mtx.gz": (_HUGE_A, "Compressed file"),
+    "V.mtx": ("%%MatrixMarket matrix array real general\n2000000000 1\n1.0\n", "Truncated file"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HUGE_FILES))
+@pytest.mark.parametrize("reader", ["load_sparse", "load_dense"])
+def test_reader_checks_the_header_before_allocating(reader, name, tmp_path):
+    # The read runs in a child process under a 2 GiB address-space limit,
+    # so a reader that allocates what the header declares raises
+    # MemoryError there instead of taking the machine's memory.
+    text, message = _HUGE_FILES[name]
+    path = tmp_path / name
+    path.write_bytes(gzip.compress(text.encode()) if name.endswith(".gz") else text.encode())
+    probe = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from rails import mmio\n"
+        "try:\n"
+        "    getattr(mmio, sys.argv[1])(sys.argv[2])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    sys.exit('read without error')\n"
+    )
+    env = dict(os.environ, RAILS_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", probe, reader, str(path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(message)
